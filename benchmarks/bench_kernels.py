@@ -51,12 +51,6 @@ def main():
          "hyp1f2",
          [(0.5, 1.0, 1.5, z, MAX_TERMS, REL_TOL)
           for z in (-9.0, -36.0, -81.0, -100.0)]),
-        ("J0",
-         "j0",
-         [(z,) for z in (0.7, 5.0, 40.0, 156.0)]),
-        ("J0 zero (McMahon + Newton)",
-         "j0_zero",
-         [(k,) for k in (1, 10, 50, 200)]),
         ("J0 integral",
          "j0_integral",
          [(z,) for z in (0.7, 5.0, 40.0, 156.0)]),

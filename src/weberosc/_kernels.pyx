@@ -1,11 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled scalar kernels; twin of ``weberosc._kernels_py``.
 
-Keep semantics identical to the pure-Python module: same algorithms,
-same stopping rules, same raised exceptions.
+Reciprocal gamma, 1F1, 1F2, Hermite and the J0 integral.  Keep semantics
+identical to the pure-Python module: same algorithms, same stopping
+rules, same raised exceptions.
 """
 
-from libc.math cimport cos, exp, fabs, floor, fma, lgamma, pow, sin, sqrt, M_PI
+from libc.math cimport exp, fabs, floor, fma, lgamma, pow, sin, sqrt, M_PI
 
 from .errors import ConvergenceError
 
@@ -163,88 +164,6 @@ cpdef double hermite(double nu, double z, int max_terms,
     if g2 != 0.0:
         t2 = g2 * 2.0 * z * hyp1f1(0.5 * (1.0 - nu), 1.5, z2, max_terms, rel_tol)
     return sqrt(M_PI) * pow(2.0, nu) * (t1 - t2)
-
-
-cdef double _j0_series(double z):
-    cdef double q = 0.25 * z * z
-    cdef double term = 1.0, s = 1.0, comp = 0.0, y, t
-    cdef int k = 0
-    while fabs(term) > 1e-18 * fabs(s) + 1e-300:
-        term *= -q / ((k + 1.0) * (k + 1.0))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        k += 1
-        if k > 200:
-            break
-    return s
-
-
-cdef double _j1_series(double z):
-    cdef double q = 0.25 * z * z
-    cdef double term = 0.5 * z
-    cdef double s = term, comp = 0.0, y, t
-    cdef int k = 0
-    while fabs(term) > 1e-18 * fabs(s) + 1e-300:
-        term *= -q / ((k + 1.0) * (k + 2.0))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        k += 1
-        if k > 200:
-            break
-    return s
-
-
-cdef double _bessel_trapezoid(double z, int order):
-    # J_n(z) = (1/pi) int_0^pi cos(n th - z sin th) dth; the N-panel
-    # trapezoid aliases only J_{2mN +- n}, negligible once 2N clears the
-    # turning point n ~ z.
-    cdef int n = <int>(0.5 * z + 8.0 * pow(z, 1.0 / 3.0)) + 12
-    cdef double h = M_PI / n
-    cdef double s = 0.5 * (1.0 + cos(order * M_PI - z * sin(M_PI)))
-    cdef int j
-    cdef double th
-    for j in range(1, n):
-        th = j * h
-        s += cos(order * th - z * sin(th))
-    return s / n
-
-
-cpdef double j0(double z):
-    """Bessel J0 for real z."""
-    z = fabs(z)
-    if z <= 9.0:
-        return _j0_series(z)
-    return _bessel_trapezoid(z, 0)
-
-
-cpdef double j1(double z):
-    """Bessel J1 for real z (odd)."""
-    cdef double sign = -1.0 if z < 0.0 else 1.0
-    z = fabs(z)
-    if z <= 9.0:
-        return sign * _j1_series(z)
-    return sign * _bessel_trapezoid(z, 1)
-
-
-cpdef double j0_zero(int k):
-    """k-th positive zero of J0: McMahon asymptotic seed + Newton."""
-    cdef double beta = (k - 0.25) * M_PI
-    cdef double r = 1.0 / beta
-    cdef double r2 = r * r
-    cdef double x = beta + r * (0.125 + r2 * (-31.0 / 384.0
-        + r2 * (3779.0 / 15360.0 + r2 * (-6277237.0 / 3440640.0))))
-    cdef double dx
-    cdef int i
-    for i in range(10):
-        dx = j0(x) / j1(x)
-        x += dx
-        if fabs(dx) < 1e-13:
-            break
-    return x
 
 
 cpdef double j0_integral(double x) except? -1e308:

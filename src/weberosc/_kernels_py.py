@@ -1,9 +1,12 @@
 """Pure-Python scalar kernels for the special-function layer.
 
 This module is the fallback twin of the compiled ``_kernels`` extension:
-both expose the same functions with identical semantics, and the public
-API in :mod:`weberosc.specfun` picks whichever is importable.  Keep the
-two in sync; the test suite cross-checks them when the extension built.
+both expose the same functions (reciprocal gamma, 1F1, 1F2, Hermite and
+the J0 integral) with identical semantics, and the public API in
+:mod:`weberosc.specfun` picks whichever is importable.  Keep the two in
+sync; the test suite cross-checks them when the extension built.  J0, J1
+and the J0 zeros are not kernels: :mod:`weberosc.specfun` takes them
+from :mod:`scipy.special`.
 
 All series use Kahan-compensated summation and stop once the term
 magnitude stays below ``rel_tol`` times the partial sum for three
@@ -197,89 +200,6 @@ def hermite(nu, z, max_terms, rel_tol):
     if g2 != 0.0:
         t2 = g2 * 2.0 * z * hyp1f1(0.5 * (1.0 - nu), 1.5, z2, max_terms, rel_tol)
     return math.sqrt(math.pi) * math.pow(2.0, nu) * (t1 - t2)
-
-
-def _j0_series(z):
-    # terms t_{k+1} = -t_k (z/2)^2 / (k+1)^2; safe for |z| <= ~9
-    q = 0.25 * z * z
-    term = 1.0
-    s = 1.0
-    comp = 0.0
-    k = 0
-    while abs(term) > 1e-18 * abs(s) + 1e-300:
-        term *= -q / ((k + 1.0) * (k + 1.0))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        k += 1
-        if k > 200:
-            break
-    return s
-
-
-def _j1_series(z):
-    q = 0.25 * z * z
-    term = 0.5 * z
-    s = term
-    comp = 0.0
-    k = 0
-    while abs(term) > 1e-18 * abs(s) + 1e-300:
-        term *= -q / ((k + 1.0) * (k + 2.0))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        k += 1
-        if k > 200:
-            break
-    return s
-
-
-def _bessel_trapezoid(z, order):
-    # J_n(z) = (1/pi) * int_0^pi cos(n*theta - z*sin(theta)) d(theta).
-    # The N-panel trapezoid rule aliases this to J_n + (terms J_{2mN +- n});
-    # choosing 2N past the turning point n ~ z makes the alias terms
-    # sub-epsilon, so the rule is exact to roundoff.
-    n = int(0.5 * z + 8.0 * z ** (1.0 / 3.0)) + 12
-    h = math.pi / n
-    s = 0.5 * (math.cos(0.0) + math.cos(order * math.pi - z * math.sin(math.pi)))
-    for j in range(1, n):
-        th = j * h
-        s += math.cos(order * th - z * math.sin(th))
-    return s / n
-
-
-def j0(z):
-    """Bessel J0 for real z, absolute error ~1e-14 up to |z| = 700."""
-    z = abs(z)
-    if z <= 9.0:
-        return _j0_series(z)
-    return _bessel_trapezoid(z, 0)
-
-
-def j1(z):
-    """Bessel J1 for real z (odd), absolute error ~1e-14 up to |z| = 700."""
-    sign = -1.0 if z < 0.0 else 1.0
-    z = abs(z)
-    if z <= 9.0:
-        return sign * _j1_series(z)
-    return sign * _bessel_trapezoid(z, 1)
-
-
-def j0_zero(k):
-    """k-th positive zero of J0: McMahon asymptotic seed + Newton."""
-    beta = (k - 0.25) * math.pi
-    r = 1.0 / beta
-    r2 = r * r
-    x = beta + r * (0.125 + r2 * (-31.0 / 384.0 + r2 * (3779.0 / 15360.0
-        + r2 * (-6277237.0 / 3440640.0))))
-    for _ in range(10):
-        dx = j0(x) / j1(x)  # J0' = -J1, so Newton step is +J0/J1
-        x += dx
-        if abs(dx) < 1e-13:
-            break
-    return x
 
 
 def j0_integral(x):

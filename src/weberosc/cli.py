@@ -239,8 +239,7 @@ def cmd_zeros(args) -> int:
     if args.count < 1:
         raise ConfigError("zeros: count must be >= 1")
     print("k,alpha_k,J0(alpha_k)")
-    for k in range(1, args.count + 1):
-        ak = specfun.bessel_j0_zero(k)
+    for k, ak in enumerate(specfun.bessel_j0_zeros(args.count).tolist(), 1):
         print("%d,%r,%r" % (k, ak, specfun.bessel_j0(ak)))
     return EXIT_OK
 

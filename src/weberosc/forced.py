@@ -5,24 +5,26 @@ have no closed antiderivative.  Each integrand is expanded in a
 Fourier-Bessel series of J0(alpha_k t / t_bar) on [0, t_bar], where
 t_bar is the integrand's first root past the physical horizon, so that
 termwise integration stays exact (the truncation happens after the
-integration, not before).
+integration, not before).  All coefficients of an expansion come from
+one composite Gauss-Legendre grid: the integrand is evaluated once per
+node, and a fit on half as many panels checks the result.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.optimize import brentq as _brentq
 
 from . import specfun, weber
-from .errors import ConvergenceError, RootNotFoundError
+from .errors import ConvergenceError, DegenerateBasisError, RootNotFoundError
 from .weber import ClosedFormSolution, PhysicalConfig, WeberCoefficients
 
 _BRACKET_WINDOW = 5.0
 _BRACKET_STEP = 0.01
-_QUAD_REL_TOL = 1e-10
-_QUAD_ABS_FLOOR = 1e-300
+# largest change of B between the P- and 2P-panel fits, relative to max |B|
+_FIT_REL_TOL = 1e-8
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -35,18 +37,23 @@ class FourierBesselExpansion:
     n_terms: int
 
 
-def integrand_c1(coeffs: WeberCoefficients, t: float) -> float:
-    """x2(t) / W(t): the (sign-stripped) derivative of c1 per unit mu."""
+def _basis_over_wronskian(coeffs: WeberCoefficients, t: float):
+    """(x1/W, x2/W) at time t; raises where W vanishes or overflows."""
     x1, x2, x1dot, x2dot = weber.evaluate_basis(coeffs, t)
     w = x1 * x2dot - x2 * x1dot
-    return x2 / w
+    if w == 0.0 or not math.isfinite(w):
+        raise DegenerateBasisError("Wronskian is %r at t = %g" % (w, t))
+    return x1 / w, x2 / w
+
+
+def integrand_c1(coeffs: WeberCoefficients, t: float) -> float:
+    """x2(t) / W(t): the (sign-stripped) derivative of c1 per unit mu."""
+    return _basis_over_wronskian(coeffs, t)[1]
 
 
 def integrand_c2(coeffs: WeberCoefficients, t: float) -> float:
     """x1(t) / W(t): the derivative of c2 per unit mu."""
-    x1, x2, x1dot, x2dot = weber.evaluate_basis(coeffs, t)
-    w = x1 * x2dot - x2 * x1dot
-    return x1 / w
+    return _basis_over_wronskian(coeffs, t)[0]
 
 
 def find_root_after(fn, t_end: float, window: float = _BRACKET_WINDOW) -> float:
@@ -71,39 +78,43 @@ def find_tbar(coeffs: WeberCoefficients, t_end: float) -> float:
     return find_root_after(lambda t: integrand_c1(coeffs, t), t_end)
 
 
+def _weighted_projections(fn, t_bar: float, alphas, panels: int):
+    """int_0^t_bar t f(t) J0(a_k t/t_bar) dt for every a_k, by the
+    16-point Gauss-Legendre rule on ``panels`` equal panels."""
+    h = t_bar / panels
+    t = (h * np.arange(panels)[:, None] + 0.5 * h * (_GL_NODES + 1.0)).ravel()
+    w = np.tile(0.5 * h * _GL_WEIGHTS, panels)
+    f = np.array([fn(ti) for ti in t.tolist()])
+    return specfun.bessel_j0(np.outer(alphas, t / t_bar)) @ (w * t * f)
+
+
 def fourier_bessel_fit(fn, t_bar: float, n_terms: int) -> FourierBesselExpansion:
-    """Coefficients B_k = 2/(t_bar^2 J1(a_k)^2) * int_0^t_bar t f(t) J0(a_k t/t_bar) dt."""
-    alphas = [specfun.bessel_j0_zero(k) for k in range(1, n_terms + 1)]
-    # double-precision floor of the weighted integrand; quad's roundoff
-    # flag is benign as long as its error estimate stays below it
-    fn_scale = max(abs(t * fn(t)) for t in np.linspace(0.0, t_bar, 64)[1:])
-    abs_ok = 1e-8 * fn_scale * t_bar + _QUAD_ABS_FLOOR
-    coeffs = []
-    for ak in alphas:
-        scale = ak / t_bar
+    """Coefficients B_k = 2/(t_bar^2 J1(a_k)^2) * int_0^t_bar t f(t) J0(a_k t/t_bar) dt.
 
-        def g(t, s=scale):
-            return t * fn(t) * specfun.bessel_j0(s * t)
-
-        # subdivision limit grows with the oscillation count of the kernel
-        limit = max(200, int(4 * ak))
-        val, abserr, *rest = _quad(g, 0.0, t_bar, epsrel=_QUAD_REL_TOL,
-                                   epsabs=_QUAD_ABS_FLOOR, limit=limit,
-                                   full_output=1)
-        if len(rest) > 1 and abserr > abs_ok:
-            raise ConvergenceError("B_k quadrature failed: %s" % rest[1])
-        j1 = specfun.bessel_j1(ak)
-        coeffs.append(2.0 * val / (t_bar * t_bar * j1 * j1))
-    return FourierBesselExpansion(t_bar=t_bar, alphas=tuple(alphas),
-                                  B=tuple(coeffs), n_terms=n_terms)
+    The panel count grows with n_terms, so that a panel holds at most
+    ~2.5 periods of the last J0 (~n_terms/2 periods on [0, t_bar]); the
+    fit on half as many panels must agree to ``_FIT_REL_TOL`` or
+    ConvergenceError is raised.
+    """
+    alphas = specfun.bessel_j0_zeros(n_terms)
+    norm = 2.0 / (t_bar * t_bar * specfun.bessel_j1(alphas) ** 2)
+    panels = max(4, math.ceil(n_terms / 5))
+    coarse = norm * _weighted_projections(fn, t_bar, alphas, panels)
+    B = norm * _weighted_projections(fn, t_bar, alphas, 2 * panels)
+    scale = float(np.max(np.abs(B)))
+    delta = float(np.max(np.abs(B - coarse)))
+    if not delta <= _FIT_REL_TOL * scale:  # also catches a NaN integrand
+        raise ConvergenceError(
+            "Fourier-Bessel fit: %d- and %d-panel coefficients differ by "
+            "%.3g against max |B| = %.3g" % (panels, 2 * panels, delta, scale))
+    return FourierBesselExpansion(t_bar=t_bar, alphas=tuple(alphas.tolist()),
+                                  B=tuple(B.tolist()), n_terms=n_terms)
 
 
 def eval_expansion(exp: FourierBesselExpansion, t: float) -> float:
     """Partial sum sum_k B_k J0(alpha_k t / t_bar)."""
-    s = 0.0
-    for bk, ak in zip(exp.B, exp.alphas):
-        s += bk * specfun.bessel_j0(ak * t / exp.t_bar)
-    return s
+    return float(np.dot(exp.B, specfun.bessel_j0(
+        np.multiply(exp.alphas, t / exp.t_bar))))
 
 
 def integrate_expansion(exp: FourierBesselExpansion, t: float) -> float:

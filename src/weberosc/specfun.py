@@ -1,8 +1,11 @@
-"""Scalar special functions backing every closed form in the package.
+"""Special functions backing every closed form in the package.
 
-Thin validating wrappers over the kernel backend (compiled extension when
-built, pure Python otherwise; see :mod:`weberosc._backend`).  All
-functions are pure and thread-safe.
+The hypergeometric, Hermite and J0-integral functions are thin validating
+wrappers over the scalar kernel backend (compiled extension when built,
+pure Python otherwise; see :mod:`weberosc._backend`).  J0, J1 and the J0
+zeros come from :mod:`scipy.special`, imported on first use so that the
+closed-form transient path never loads scipy.  All functions are pure
+and thread-safe.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ __all__ = [
     "bessel_j0",
     "bessel_j1",
     "bessel_j0_zero",
+    "bessel_j0_zeros",
     "bessel_j0_integral",
 ]
 
@@ -97,21 +101,42 @@ def hyp_1f2(a, b1, b2, z, control=DEFAULT_CONTROL):
     return _k.hyp1f2(a, b1, b2, z, control.max_terms, control.rel_tol)
 
 
+def _float_if_scalar(r):
+    # scipy hands back numpy scalars; callers print these with %r
+    return float(r) if r.ndim == 0 else r
+
+
 def bessel_j0(z):
-    """Bessel function of the first kind, order 0."""
-    return _k.j0(z)
+    """Bessel function of the first kind, order 0.
+
+    A float for a scalar ``z``, an ndarray for an array.
+    """
+    from scipy.special import j0
+    return _float_if_scalar(j0(z))
 
 
 def bessel_j1(z):
-    """Bessel function of the first kind, order 1."""
-    return _k.j1(z)
+    """Bessel function of the first kind, order 1 (same shapes as J0)."""
+    from scipy.special import j1
+    return _float_if_scalar(j1(z))
+
+
+def bessel_j0_zeros(n):
+    """ndarray of the first n positive zeros of J0 (n >= 1), within a few
+    ulp of the exact zeros.
+
+    Entry k is bit-identical for every n >= k, so one call serves a
+    whole expansion.
+    """
+    if n < 1:
+        raise DomainError("J0 zeros: need n >= 1, got %r" % (n,))
+    from scipy.special import jn_zeros
+    return jn_zeros(0, int(n))
 
 
 def bessel_j0_zero(k):
-    """k-th positive zero of J0 (k >= 1), to ~1e-12 absolute."""
-    if k < 1:
-        raise DomainError("zero index must be >= 1, got %r" % (k,))
-    return _k.j0_zero(int(k))
+    """k-th positive zero of J0 (k >= 1): entry k of ``bessel_j0_zeros``."""
+    return float(bessel_j0_zeros(k)[-1])
 
 
 def bessel_j0_integral(x):

@@ -134,6 +134,14 @@ def test_forced_rejects_constant_branch(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_forced_numeric_failure_exit_code(tmp_path):
+    """The Wronskian of preset IV at A = 0.5 loses all accuracy past t ~ 6,
+    so the Lagrange integrands cannot be fitted: a typed numeric failure
+    (exit 3), not a crash."""
+    assert cli.main(["forced", "--preset", "IV", "--mu", "1", "--drag", "0.5",
+                     "--terms", "20", "--out", str(tmp_path)]) == 3
+
+
 def test_polar_default_range(tmp_path, capsys):
     rc = cli.main(["polar", "--preset", "I", "--samples", "31",
                    "--out", str(tmp_path)])

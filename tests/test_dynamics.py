@@ -1,6 +1,9 @@
 """Vertical motion, constraint reactions, rotation kinematics, presets."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,3 +150,19 @@ def test_run_transient_validates_samples():
 
 def test_default_drag_set():
     assert dynamics.DEFAULT_DRAG_SET == (0.2, 0.5, 1.0, 2.0)
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    """The closed-form transient path stays light: scipy.special (J0, J1,
+    zeros) and numpy are imported only where the forced case needs them."""
+    import weberosc
+    src = os.path.dirname(os.path.dirname(weberosc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, weberosc.dynamics; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

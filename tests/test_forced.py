@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from weberosc import forced, oracle, specfun, weber
-from weberosc.errors import RootNotFoundError
+from weberosc.errors import (ConvergenceError, DegenerateBasisError,
+                             RootNotFoundError)
 
 
 def test_find_tbar_sample_value(sample_coeffs):
@@ -75,6 +76,44 @@ def test_fit_of_unit_function_closed_form():
     for ak, bk in zip(exp.alphas, exp.B):
         assert bk == pytest.approx(2.0 / (ak * specfun.bessel_j1(ak)),
                                    rel=1e-9)
+
+
+# quad flags roundoff because its tolerance sits at the double-precision
+# floor of these integrals; the assertion below checks what it reached
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_fit_matches_per_coefficient_quadrature(sample_config):
+    """The one-grid coefficients agree with an adaptive quadrature of each
+    B_k on its own (sample arm, A = 0.5, 40 terms)."""
+    co = weber.map_params(sample_config.with_overrides(A=0.5))
+    fn = lambda t: forced.integrand_c1(co, t)
+    tb = forced.find_tbar(co, 10.0)
+    exp = forced.fourier_bessel_fit(fn, tb, 40)
+    for k in (1, 20, 40):
+        ak = exp.alphas[k - 1]
+        val, _ = quad(lambda t: t * fn(t) * specfun.bessel_j0(ak * t / tb),
+                      0.0, tb, epsrel=1e-12, epsabs=0.0, limit=200)
+        ref = 2.0 * val / (tb * tb * specfun.bessel_j1(ak) ** 2)
+        assert exp.B[k - 1] == pytest.approx(ref, rel=1e-10)
+
+
+def test_fit_of_unresolved_integrand_raises():
+    """A step inside a panel defeats the Gauss-Legendre grid; the
+    panel-doubling check must refuse it instead of returning B."""
+    tb = 3.0
+    with pytest.raises(ConvergenceError):
+        forced.fourier_bessel_fit(lambda t: 1.0 if t < tb / 3.0 else 0.0,
+                                  tb, 10)
+
+
+def test_integrands_reject_degenerate_wronskian(sample_coeffs, monkeypatch):
+    """W = 0 exactly, then W overflowing to inf: a typed error, not a
+    ZeroDivisionError or a silent 0."""
+    for basis in ((1.0, 2.0, 3.0, 6.0), (1e200, 1.0, -1.0, 1e200)):
+        monkeypatch.setattr(weber, "evaluate_basis", lambda c, t: basis)
+        with pytest.raises(DegenerateBasisError):
+            forced.integrand_c1(sample_coeffs, 1.0)
+        with pytest.raises(DegenerateBasisError):
+            forced.integrand_c2(sample_coeffs, 1.0)
 
 
 def test_eval_expansion_parabola():
