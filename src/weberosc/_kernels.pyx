@@ -1,7 +1,7 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled scalar kernels; twin of ``weberosc._kernels_py``.
 
-Reciprocal gamma, 1F1, 1F2, Hermite and the J0 integral.  Keep semantics
+Reciprocal gamma, 1F1, 1F2 and the J0 integral.  Keep semantics
 identical to the pure-Python module: same algorithms, same stopping
 rules, same raised exceptions.
 """
@@ -150,20 +150,6 @@ cpdef double hyp1f2(double a, double b1, double b2, double z, int max_terms,
     raise ConvergenceError(
         "1F2 series: tolerance %g not met within %d terms at "
         "(a=%g, b1=%g, b2=%g, z=%g)" % (rel_tol, max_terms, a, b1, b2, z))
-
-
-cpdef double hermite(double nu, double z, int max_terms,
-                     double rel_tol) except? -1e308:
-    """Hermite function H_nu(z) of arbitrary real order."""
-    cdef double z2 = z * z
-    cdef double g1 = rgamma(0.5 * (1.0 - nu))
-    cdef double g2 = rgamma(-0.5 * nu)
-    cdef double t1 = 0.0, t2 = 0.0
-    if g1 != 0.0:
-        t1 = g1 * hyp1f1(-0.5 * nu, 0.5, z2, max_terms, rel_tol)
-    if g2 != 0.0:
-        t2 = g2 * 2.0 * z * hyp1f1(0.5 * (1.0 - nu), 1.5, z2, max_terms, rel_tol)
-    return sqrt(M_PI) * pow(2.0, nu) * (t1 - t2)
 
 
 cpdef double j0_integral(double x) except? -1e308:

@@ -1,12 +1,17 @@
 """Pure-Python scalar kernels for the special-function layer.
 
 This module is the fallback twin of the compiled ``_kernels`` extension:
-both expose the same functions (reciprocal gamma, 1F1, 1F2, Hermite and
-the J0 integral) with identical semantics, and the public API in
+both expose the same functions (reciprocal gamma, 1F1, 1F2 and the J0
+integral) with identical semantics, and the public API in
 :mod:`weberosc.specfun` picks whichever is importable.  Keep the two in
-sync; the test suite cross-checks them when the extension built.  J0, J1
-and the J0 zeros are not kernels: :mod:`weberosc.specfun` takes them
-from :mod:`scipy.special`.
+sync; the test suite cross-checks them when the extension built.  The
+double-double rerun of 1F1 is written out inline here and as ``cdef
+inline`` helpers there: same operations in the same order, except that
+the compiled product uses a fused multiply-add where this one splits.
+Not kernels: J0, J1 and the J0 zeros (:mod:`weberosc.specfun` takes them
+from :mod:`scipy.special`) and the Gamma-weighted Hermite combination of
+two 1F1 series (:mod:`weberosc.specfun`, so that the basis can share the
+series between H_nu, H_{nu-1} and the Kummer function).
 
 All series use Kahan-compensated summation and stop once the term
 magnitude stays below ``rel_tol`` times the partial sum for three
@@ -68,42 +73,10 @@ def _hyp1f1_series(a, b, z, max_terms, rel_tol):
     )
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    # Dekker split; exact for |a|, |b| < ~1e292 (far beyond series terms
-    # that survive without overflowing the final sum anyway)
-    p = a * b
-    c = 134217729.0 * a
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    return _two_sum(s, e)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    return _two_sum(p, e)
-
-
-def _dd_div_d(xh, xl, d):
-    q1 = xh / d
-    ph, pl = _two_prod(q1, d)
-    rh, rl = _dd_add(xh, xl, -ph, -pl)
-    return _two_sum(q1, (rh + rl) / d)
+# Dekker split: c = _SPLIT * x; hi = c - (c - x); lo = x - hi.  The
+# products below are exact for |x|, |y| < ~1e292 (far beyond series
+# terms that survive without overflowing the final sum anyway).
+_SPLIT = 134217729.0
 
 
 def _hyp1f1_series_dd(a, b, z, max_terms, rel_tol):
@@ -112,16 +85,69 @@ def _hyp1f1_series_dd(a, b, z, max_terms, rel_tol):
     The alternating regime (very negative a, large z) can lose up to
     ~1e14 of relative magnitude between the largest term and the sum;
     ~32 significant digits absorb that with room to spare.
+
+    Per term: (th, tl) *= two_prod(a + n, z), then /= (b + n) and
+    /= (n + 1), then (sh, sl) += (th, tl), all in double-double with
+    error-free two_sum/two_prod steps written out inline (a call per
+    step would cost more than the arithmetic).
     """
+    c = _SPLIT * z
+    zh = c - (c - z)
+    zl = z - zh
     th, tl = 1.0, 0.0
     sh, sl = 1.0, 0.0
     below = 0
     for n in range(max_terms):
-        nh, nl = _two_prod(a + n, z)
-        th, tl = _dd_mul(th, tl, nh, nl)
-        th, tl = _dd_div_d(th, tl, b + n)
-        th, tl = _dd_div_d(th, tl, n + 1.0)
-        sh, sl = _dd_add(sh, sl, th, tl)
+        # (nh, nl) = two_prod(a + n, z)
+        x = a + n
+        nh = x * z
+        c = _SPLIT * x
+        xh = c - (c - x)
+        xl = x - xh
+        nl = ((xh * zh - nh) + xh * zl + xl * zh) + xl * zl
+        # (th, tl) *= (nh, nl)
+        p = th * nh
+        c = _SPLIT * th
+        hh = c - (c - th)
+        hl = th - hh
+        c = _SPLIT * nh
+        mh = c - (c - nh)
+        ml = nh - mh
+        e = ((hh * mh - p) + hh * ml + hl * mh) + hl * ml
+        e += th * nl + tl * nh
+        th = p + e
+        bb = th - p
+        tl = (p - (th - bb)) + (e - bb)
+        # (th, tl) /= d, for d = b + n and then d = n + 1
+        for d in (b + n, n + 1.0):
+            q = th / d
+            ph = q * d
+            c = _SPLIT * q
+            qh = c - (c - q)
+            ql = q - qh
+            c = _SPLIT * d
+            dh = c - (c - d)
+            dl = d - dh
+            pl = ((qh * dh - ph) + qh * dl + ql * dh) + ql * dl
+            s = th + -ph
+            bb = s - th
+            e = (th - (s - bb)) + (-ph - bb)
+            e += tl + -pl
+            rh = s + e
+            bb = rh - s
+            rl = (s - (rh - bb)) + (e - bb)
+            y = (rh + rl) / d
+            th = q + y
+            bb = th - q
+            tl = (q - (th - bb)) + (y - bb)
+        # (sh, sl) += (th, tl)
+        s = sh + th
+        bb = s - sh
+        e = (sh - (s - bb)) + (th - bb)
+        e += sl + tl
+        sh = s + e
+        bb = sh - s
+        sl = (s - (sh - bb)) + (e - bb)
         if abs(th) <= rel_tol * abs(sh):
             below += 1
             if below == 3:
@@ -181,25 +207,6 @@ def hyp1f2(a, b1, b2, z, max_terms, rel_tol):
         "1F2 series: tolerance %g not met within %d terms at "
         "(a=%g, b1=%g, b2=%g, z=%g)" % (rel_tol, max_terms, a, b1, b2, z)
     )
-
-
-def hermite(nu, z, max_terms, rel_tol):
-    """Hermite function H_nu(z) of arbitrary real order.
-
-    Combination of two Kummer functions with reciprocal-gamma weights;
-    the 1/Gamma factors make the expression total (a term with its
-    weight at a pole is exactly zero).
-    """
-    z2 = z * z
-    g1 = rgamma(0.5 * (1.0 - nu))
-    g2 = rgamma(-0.5 * nu)
-    t1 = 0.0
-    if g1 != 0.0:
-        t1 = g1 * hyp1f1(-0.5 * nu, 0.5, z2, max_terms, rel_tol)
-    t2 = 0.0
-    if g2 != 0.0:
-        t2 = g2 * 2.0 * z * hyp1f1(0.5 * (1.0 - nu), 1.5, z2, max_terms, rel_tol)
-    return math.sqrt(math.pi) * math.pow(2.0, nu) * (t1 - t2)
 
 
 def j0_integral(x):

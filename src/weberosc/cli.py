@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 
-from . import dynamics, forced, oracle, weber
+from . import dynamics, weber
 from .errors import ConfigError, RootNotFoundError, WeberOscError
 
 EXIT_OK = 0
@@ -150,6 +150,7 @@ def cmd_transient(args) -> int:
                       max((abs(v) for v in xs), default=0.0),
                       max((abs(s.Ry) for s in result.samples), default=0.0)))
         if run["oracle"]:
+            from . import oracle
             coeffs = weber.map_params(cfg)
             sol = weber.solve_ivp(coeffs, cfg.x0, cfg.v0)
             t_last = result.samples[-1].t if result.samples else 0.0
@@ -176,6 +177,7 @@ def cmd_forced(args) -> int:
 
 
 def _run_forced(config, run) -> None:
+    from . import forced
     n_terms = run["n_terms"]
     horizon = dynamics.horizon(config)
     fs = forced.solve_forced_ivp(config, n_terms=n_terms)
@@ -184,10 +186,7 @@ def _run_forced(config, run) -> None:
     rows = []
     for i in range(n):
         t = horizon * i / (n - 1)
-        x, xdot = forced.eval_forced(fs, t)
-        c1, c2, _, _ = forced.lagrange_coefficients(ps, t)
-        xbar, _ = forced.eval_particular(ps, t)
-        rows.append((t, x, xdot, c1, c2, xbar))
+        rows.append((t,) + forced.eval_forced_parts(fs, t))
     path = os.path.join(run["out"], "forced_A%g.csv" % config.A)
     write_csv(path, ["t", "x", "xdot", "c1", "c2", "x_particular"], rows)
 

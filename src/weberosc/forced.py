@@ -158,26 +158,34 @@ def variation_constants(coeffs: WeberCoefficients, mu: float,
                               prefactors=(-mu, mu))
 
 
+def _integrals(ps: ParticularSolution, t: float):
+    p1, p2 = ps.prefactors
+    return (p1 * integrate_expansion(ps.exp1, t),
+            p2 * integrate_expansion(ps.exp2, t))
+
+
 def lagrange_coefficients(ps: ParticularSolution, t: float):
     """(c1, c2, c1', c2') at time t."""
     p1, p2 = ps.prefactors
-    c1 = p1 * integrate_expansion(ps.exp1, t)
-    c2 = p2 * integrate_expansion(ps.exp2, t)
+    c1, c2 = _integrals(ps, t)
     c1dot = p1 * eval_expansion(ps.exp1, t)
     c2dot = p2 * eval_expansion(ps.exp2, t)
     return c1, c2, c1dot, c2dot
 
 
+def _combine(k1, k2, basis):
+    """(k1 x1 + k2 x2, k1 x1' + k2 x2') for basis = (x1, x2, x1', x2')."""
+    x1, x2, x1dot, x2dot = basis
+    return k1 * x1 + k2 * x2, k1 * x1dot + k2 * x2dot
+
+
 def eval_particular(ps: ParticularSolution, t: float):
     """(x_bar, x_bar') at time t."""
-    x1, x2, x1dot, x2dot = weber.evaluate_basis(ps.coeffs, t)
-    c1, c2, c1dot, c2dot = lagrange_coefficients(ps, t)
-    xbar = c1 * x1 + c2 * x2
+    basis = weber.evaluate_basis(ps.coeffs, t)
     # the Lagrange constraint c1' x1 + c2' x2 = 0 is imposed analytically:
     # evaluating it from the truncated expansions instead would multiply
     # their tiny pointwise error by the ~1e15 basis magnitude at t = 0
-    xbar_dot = c1 * x1dot + c2 * x2dot
-    return xbar, xbar_dot
+    return _combine(*_integrals(ps, t), basis)
 
 
 @dataclass(frozen=True)
@@ -201,11 +209,23 @@ def solve_forced_ivp(config: PhysicalConfig,
     return ForcedSolution(particular=ps, homogeneous=hom)
 
 
+def eval_forced_parts(fs: ForcedSolution, t: float):
+    """(x, x', c1, c2, x_bar) at time t: the forced general solution, the
+    Lagrange coefficients and the particular part, from one evaluation
+    of the basis and of each coefficient integral."""
+    ps, hom = fs.particular, fs.homogeneous
+    basis = weber.evaluate_basis(ps.coeffs, t)
+    c1, c2 = _integrals(ps, t)
+    xb, vb = _combine(c1, c2, basis)
+    # the homogeneous part shares the basis: the particular solution
+    # exists only on the Hermite/Kummer branch (a > 0)
+    xh, vh = _combine(hom.C1, hom.C2, basis)
+    return xb + xh, vb + vh, c1, c2, xb
+
+
 def eval_forced(fs: ForcedSolution, t: float):
     """(x, x') of the forced general solution at time t."""
-    xb, vb = eval_particular(fs.particular, t)
-    xh, vh = weber.eval_solution(fs.homogeneous, t)
-    return xb + xh, vb + vh
+    return eval_forced_parts(fs, t)[:2]
 
 
 def reconstruction_error(exp: FourierBesselExpansion, fn,

@@ -1,11 +1,12 @@
 """Special functions backing every closed form in the package.
 
-The hypergeometric, Hermite and J0-integral functions are thin validating
-wrappers over the scalar kernel backend (compiled extension when built,
-pure Python otherwise; see :mod:`weberosc._backend`).  J0, J1 and the J0
-zeros come from :mod:`scipy.special`, imported on first use so that the
-closed-form transient path never loads scipy.  All functions are pure
-and thread-safe.
+The hypergeometric and J0-integral functions are thin validating wrappers
+over the scalar kernel backend (compiled extension when built, pure
+Python otherwise; see :mod:`weberosc._backend`); the Hermite functions
+are Gamma-weighted pairs of its 1F1 series, combined here.  J0, J1 and
+the J0 zeros come from :mod:`scipy.special`, imported on first use so
+that the closed-form transient path never loads scipy.  All functions
+are pure and thread-safe.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "kummer_1f1_dz",
     "hermite_h",
     "hermite_h_dz",
+    "hermite_kummer",
     "hyp_1f2",
     "bessel_j0",
     "bessel_j1",
@@ -84,14 +86,67 @@ def kummer_1f1_dz(a, b, z, control=DEFAULT_CONTROL):
     return (a / b) * _k.hyp1f1(a + 1.0, b + 1.0, z, control.max_terms, control.rel_tol)
 
 
+def _series_in(w, control):
+    """s(a, b) = 1F1(a; b; w), summing each distinct (a, b) only once."""
+    sums = {}
+
+    def s(a, b):
+        v = sums.get((a, b))
+        if v is None:
+            v = sums[(a, b)] = _k.hyp1f1(a, b, w, control.max_terms,
+                                         control.rel_tol)
+        return v
+
+    return s
+
+
+def _hermite(nu, z, series):
+    """H_nu(z) = sqrt(pi) 2^nu (g1 F(-nu/2; 1/2) - g2 2z F((1-nu)/2; 3/2))
+    with F(a; b) = series(a, b) = 1F1(a; b; z^2), g1 = 1/Gamma((1-nu)/2)
+    and g2 = 1/Gamma(-nu/2).
+
+    The 1/Gamma weights make the expression total: a term whose weight
+    sits at a pole is exactly zero, and its series is not summed.
+    """
+    g1 = _k.rgamma(0.5 * (1.0 - nu))
+    g2 = _k.rgamma(-0.5 * nu)
+    t1 = 0.0
+    if g1 != 0.0:
+        t1 = g1 * series(-0.5 * nu, 0.5)
+    t2 = 0.0
+    if g2 != 0.0:
+        t2 = g2 * 2.0 * z * series(0.5 * (1.0 - nu), 1.5)
+    return math.sqrt(math.pi) * math.pow(2.0, nu) * (t1 - t2)
+
+
 def hermite_h(nu, z, control=DEFAULT_CONTROL):
     """Hermite function H_nu(z) of arbitrary real order nu."""
-    return _k.hermite(nu, z, control.max_terms, control.rel_tol)
+    return _hermite(nu, z, _series_in(z * z, control))
 
 
 def hermite_h_dz(nu, z, control=DEFAULT_CONTROL):
     """d/dz H_nu(z) = 2 nu H_{nu-1}(z)."""
-    return 2.0 * nu * _k.hermite(nu - 1.0, z, control.max_terms, control.rel_tol)
+    return 2.0 * nu * _hermite(nu - 1.0, z, _series_in(z * z, control))
+
+
+def hermite_kummer(nu, z, control=DEFAULT_CONTROL):
+    """(H_nu(z), d/dz H_nu(z), 1F1(k; 1/2; w), d/dw 1F1(k; 1/2; w)) at
+    w = z^2, k = -nu/2: the pair behind the Weber basis.
+
+    Each value equals, bit for bit, its own call of ``hermite_h``,
+    ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``, but the
+    four functions share their 1F1 series in w: F(k; 1/2) is the Kummer
+    function and H_nu's first term, F(k + 1; 3/2) feeds the derivative
+    and H_{nu-1}'s second term, so four series are summed instead of six
+    (five for some |nu| < 1/2, where k + 1 and (1 - (nu - 1))/2 round
+    to neighbouring doubles).
+    """
+    series = _series_in(z * z, control)
+    k = -0.5 * nu
+    return (_hermite(nu, z, series),
+            2.0 * nu * _hermite(nu - 1.0, z, series),
+            series(k, 0.5),
+            (k / 0.5) * series(k + 1.0, 1.5))
 
 
 def hyp_1f2(a, b1, b2, z, control=DEFAULT_CONTROL):

@@ -119,7 +119,6 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
     sqa = math.sqrt(a)
     a34 = a ** 0.75
     nu = beta - 0.5
-    ka = 0.25 - 0.5 * beta
 
     try:
         ex = -(a * t * t + t * (b + sqa * A)) / (2.0 * sqa)
@@ -127,13 +126,11 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
         denv = env * (-(2.0 * a * t + b + sqa * A) / (2.0 * sqa))
         u = (b + 2.0 * a * t) / (2.0 * a34)
         du = a ** 0.25
-        w = u * u
         dw = (b + 2.0 * a * t) / sqa
 
-        h = specfun.hermite_h(nu, u)
-        dh = specfun.hermite_h_dz(nu, u)
-        f = specfun.kummer_1f1(ka, 0.5, w)
-        df = specfun.kummer_1f1_dz(ka, 0.5, w)
+        # the Kummer parameter -nu/2 equals 1/4 - beta/2 to the last bit:
+        # halving commutes with rounding
+        h, dh, f, df = specfun.hermite_kummer(nu, u)
 
         x1 = env * h
         x1dot = denv * h + env * dh * du

@@ -111,6 +111,26 @@ def test_forced_summary_and_csv(tmp_path, capsys):
     assert len(rows) == 21
 
 
+def test_forced_csv_rows_match_library_calls(tmp_path):
+    """Each row, re-read, equals the separate library calls bit for bit."""
+    rc = cli.main(["forced", "--preset", "I", "--mu", "1", "--terms", "10",
+                   "--samples", "11", "--out", str(tmp_path)])
+    assert rc == 0
+    cfg = dynamics.apply_preset(weber.PhysicalConfig(), "I").with_overrides(
+        mu=1.0)
+    fs = forced.solve_forced_ivp(cfg, n_terms=10)
+    horizon = dynamics.horizon(cfg)
+    _, rows = _read_csv(tmp_path / "forced_A0.csv")
+    assert len(rows) == 11
+    for i, row in enumerate(rows):
+        t = horizon * i / 10
+        x, xdot = forced.eval_forced(fs, t)
+        c1, c2, _, _ = forced.lagrange_coefficients(fs.particular, t)
+        xbar, _ = forced.eval_particular(fs.particular, t)
+        assert [float(v).hex() for v in row] == \
+            [v.hex() for v in (t, x, xdot, c1, c2, xbar)]
+
+
 def test_forced_zero_mu_matches_transient_closed_form(tmp_path):
     """mu=0 particular part vanishes, so the forced path must reproduce
     the homogeneous closed form exactly (only 3 expansion terms needed:

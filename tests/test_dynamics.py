@@ -154,15 +154,18 @@ def test_default_drag_set():
 
 def test_import_loads_neither_numpy_nor_scipy():
     """The closed-form transient path stays light: scipy.special (J0, J1,
-    zeros) and numpy are imported only where the forced case needs them."""
+    zeros) and numpy are imported only where the forced case needs them,
+    and the CLI imports the forced case and the oracle only to run them."""
     import weberosc
     src = os.path.dirname(os.path.dirname(weberosc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, weberosc.dynamics; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} "
-            "& {'numpy', 'scipy'}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    for module in ("weberosc.dynamics", "weberosc.cli"):
+        code = ("import sys, %s; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "& {'numpy', 'scipy'}))" % module)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=60)
+        assert out.stdout.strip() == "[]", module

@@ -22,7 +22,15 @@ KUMMER_REFS = [
     ((2.0, 3.0, -25.0), 0.003199999998844523),
     ((0.5, 1.5, 40.0), 2980568725898933.0),
     ((-0.3, 0.7, -12.5), 2.7692758755564095),
+    # preset III basis series (A = 0.5, t = 2, 5, 8): the terms cancel by
+    # 1e5 to 5e10, so these values come from the double-double rerun
+    ((-24.697916666666664, 0.5, 67.5), -452864921486823.6),
+    ((-24.197916666666664, 1.5, 43.2), -32112276.104346737),
+    ((-23.697916666666664, 1.5, 97.20000000000002), 3.0644419579606196e+19),
 ]
+
+# (a, b, z) of KUMMER_REFS that take the double-double rerun
+KUMMER_DD_ARGS = KUMMER_REFS[-3:]
 
 HERMITE_REFS = [
     ((16.25, -5.477225575051661), 1242415762257545.5),
@@ -74,6 +82,22 @@ J0_INTEGRAL_REFS = [
 @pytest.mark.parametrize("args,expected", KUMMER_REFS)
 def test_kummer_1f1_reference_values(args, expected):
     assert specfun.kummer_1f1(*args) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("args,expected", KUMMER_DD_ARGS)
+def test_kummer_1f1_double_double_path_runs(monkeypatch, args, expected):
+    # the rerun exists in both backends; only the pure one can be watched
+    from weberosc import _kernels_py as raw
+    reruns = []
+    rerun = raw._hyp1f1_series_dd
+
+    def counting(*a):
+        reruns.append(a)
+        return rerun(*a)
+
+    monkeypatch.setattr(raw, "_hyp1f1_series_dd", counting)
+    assert raw.hyp1f1(*args, 500, 1e-14) == pytest.approx(expected, rel=1e-12)
+    assert len(reruns) == 1
 
 
 @pytest.mark.parametrize("args,expected", HERMITE_REFS)

@@ -237,3 +237,64 @@ def test_config_validation():
         weber.PhysicalConfig(omega0=0.0).validate()
     with pytest.raises(ConfigError):
         weber.PhysicalConfig().with_overrides(L=0.0)
+
+
+def _preset_coeffs(preset_id, A):
+    from weberosc import dynamics
+    cfg = dynamics.apply_preset(weber.PhysicalConfig(), preset_id, A=A)
+    return weber.map_params(cfg), dynamics.horizon(cfg)
+
+
+# beta in (0, 1/2): k + 1 and (1 - (nu - 1))/2 round to neighbouring
+# doubles there, so H_{nu-1} and the Kummer derivative cannot share that
+# series without changing one of them
+_ROUNDING_APART = weber.WeberCoefficients(a=0.09, b=-1.8, c=-1.0, A=0.3,
+                                          beta=0.2123456789012345)
+
+
+@pytest.mark.parametrize("coeffs,t_end", [
+    _preset_coeffs(p, A) for p in ("I", "II", "III", "IV")
+    for A in (0.2, 1.0, 2.0)] + [(_ROUNDING_APART, 10.0)])
+def test_basis_is_composition_of_public_functions(coeffs, t_end):
+    """evaluate_basis equals, bit for bit, the chain rule over the public
+    hermite_h, hermite_h_dz, kummer_1f1 and kummer_1f1_dz."""
+    a, b, A, beta = coeffs.a, coeffs.b, coeffs.A, coeffs.beta
+    sqa = math.sqrt(a)
+    nu = beta - 0.5
+    ka = 0.25 - 0.5 * beta
+    for t in np.linspace(0.0, t_end, 41).tolist():
+        env = math.exp(-(a * t * t + t * (b + sqa * A)) / (2.0 * sqa))
+        denv = env * (-(2.0 * a * t + b + sqa * A) / (2.0 * sqa))
+        u = (b + 2.0 * a * t) / (2.0 * a ** 0.75)
+        du = a ** 0.25
+        w = u * u
+        dw = (b + 2.0 * a * t) / sqa
+        h = specfun.hermite_h(nu, u)
+        dh = specfun.hermite_h_dz(nu, u)
+        f = specfun.kummer_1f1(ka, 0.5, w)
+        df = specfun.kummer_1f1_dz(ka, 0.5, w)
+        expected = (env * h, env * f, denv * h + env * dh * du,
+                    denv * f + env * df * dw)
+        got = weber.evaluate_basis(coeffs, t)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def test_basis_point_sums_four_series(monkeypatch):
+    """x1, x2 and their derivatives need four distinct 1F1 series."""
+    sums = []
+    kernel = specfun._k.hyp1f1
+
+    def counting(*args):
+        sums.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(specfun._k, "hyp1f1", counting)
+    for preset_id in ("I", "II", "III", "IV"):
+        coeffs, t_end = _preset_coeffs(preset_id, 0.5)
+        for t in (0.0, 0.5 * t_end):
+            sums.clear()
+            weber.evaluate_basis(coeffs, t)
+            assert len(sums) == 4
+    sums.clear()
+    weber.evaluate_basis(_ROUNDING_APART, 3.0)
+    assert len(sums) == 5
