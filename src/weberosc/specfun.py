@@ -25,7 +25,6 @@ __all__ = [
     "kummer_1f1_dz",
     "hermite_h",
     "hermite_h_dz",
-    "hermite_kummer",
     "hyp_1f2",
     "bessel_j0",
     "bessel_j1",
@@ -129,7 +128,7 @@ def hermite_h_dz(nu, z, control=DEFAULT_CONTROL):
     return 2.0 * nu * _hermite(nu - 1.0, z, _series_in(z * z, control))
 
 
-def hermite_kummer(nu, z, control=DEFAULT_CONTROL):
+def _hermite_kummer(nu, z):
     """(H_nu(z), d/dz H_nu(z), 1F1(k; 1/2; w), d/dw 1F1(k; 1/2; w)) at
     w = z^2, k = -nu/2: the pair behind the Weber basis.
 
@@ -141,7 +140,7 @@ def hermite_kummer(nu, z, control=DEFAULT_CONTROL):
     (five for some |nu| < 1/2, where k + 1 and (1 - (nu - 1))/2 round
     to neighbouring doubles).
     """
-    series = _series_in(z * z, control)
+    series = _series_in(z * z, DEFAULT_CONTROL)
     k = -0.5 * nu
     return (_hermite(nu, z, series),
             2.0 * nu * _hermite(nu - 1.0, z, series),

@@ -130,7 +130,7 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
 
         # the Kummer parameter -nu/2 equals 1/4 - beta/2 to the last bit:
         # halving commutes with rounding
-        h, dh, f, df = specfun.hermite_kummer(nu, u)
+        h, dh, f, df = specfun._hermite_kummer(nu, u)
 
         x1 = env * h
         x1dot = denv * h + env * dh * du
