@@ -7,7 +7,8 @@ via variation of constants with a Fourier-Bessel expansion -- all
 cross-validated against an independent adaptive ODE integrator.
 """
 
-from ._backend import BACKEND
+# The series kernels are pure Python; run records name this constant.
+BACKEND = "python"
 
 __version__ = "0.1.0"
 __all__ = ["BACKEND", "__version__"]

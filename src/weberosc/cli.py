@@ -100,6 +100,9 @@ def _build_config(args) -> tuple:
         "n_terms": args.terms if args.terms is not None
         else run.get("n_terms"),
     }
+    if run_out["n_samples"] < 2:
+        raise ConfigError("n_samples must be >= 2, got %r"
+                          % (run_out["n_samples"],))
     config.validate()
     return config, run_out
 

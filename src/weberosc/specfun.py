@@ -1,24 +1,24 @@
 """Special functions backing every closed form in the package.
 
-The hypergeometric and J0-integral functions are thin validating wrappers
-over the scalar kernel backend (compiled extension when built, pure
-Python otherwise; see :mod:`weberosc._backend`); the Hermite functions
-are Gamma-weighted pairs of its 1F1 series, combined here.  J0, J1 and
-the J0 zeros come from :mod:`scipy.special`, imported on first use so
-that the closed-form transient path never loads scipy.  All functions
-are pure and thread-safe.
+Kummer's 1F1, the generalized 1F2 and the J0 integral are scalar
+pure-Python kernels defined here; the Hermite functions are
+Gamma-weighted pairs of 1F1 series, combined here too.  J0, J1 and the
+J0 zeros come from :mod:`scipy.special`, imported on first use so that
+the closed-form transient path never loads numpy or scipy.  All
+functions are pure and thread-safe.
+
+Every series uses Kahan-compensated summation and stops once the term
+magnitude stays below ``_REL_TOL`` times the partial sum for three
+consecutive terms (single-term tests are unsafe at the argument sizes
+this problem reaches, |z| ~ 40 and beyond); a series that has not
+stopped after ``_MAX_TERMS`` terms raises ``ConvergenceError``.
 """
 
-from dataclasses import dataclass
 import math
 
-from ._backend import BACKEND, kernels as _k
-from .errors import DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
-    "BACKEND",
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "ln_gamma",
     "reciprocal_gamma",
     "kummer_1f1",
@@ -33,26 +33,23 @@ __all__ = [
     "bessel_j0_integral",
 ]
 
+_MAX_TERMS = 500
+_REL_TOL = 1e-14
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the hypergeometric series.
+# Cancellation guard for the 1F2 series: raise instead of returning a sum
+# whose leading digits were all lost to alternating-term cancellation.
+_EPS = 2.220446049250313e-16
+_MAX_CANCEL = 1e-6
 
-    A series stops once the term magnitude stays below ``rel_tol`` times
-    the partial sum for three consecutive terms.
-    """
+# A plain double summation keeps ~eps * (largest term / sum) relative
+# accuracy; beyond this magnitude ratio the 1F1 series is re-summed in
+# double-double arithmetic.
+_DD_CANCEL = 1e4
 
-    max_terms: int = 500
-    rel_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError("rel_tol must be in (0, 1)")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# Dekker split: c = _SPLIT * x; hi = c - (c - x); lo = x - hi.  The
+# products below are exact for |x|, |y| < ~1e292 (far beyond series
+# terms that survive without overflowing the final sum anyway).
+_SPLIT = 134217729.0
 
 
 def _is_nonpositive_integer(x):
@@ -68,32 +65,157 @@ def ln_gamma(x):
 
 def reciprocal_gamma(x):
     """1/Gamma(x) as a total function: exactly 0 at x = 0, -1, -2, ..."""
-    return _k.rgamma(x)
+    if x > 0.0:
+        return math.exp(-math.lgamma(x))
+    if x == math.floor(x):
+        return 0.0
+    # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1 - x) / pi
+    return math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
-def kummer_1f1(a, b, z, control=DEFAULT_CONTROL):
+def _hyp1f1_series(a, b, z):
+    rel_tol = _REL_TOL
+    term = 1.0
+    s = 1.0
+    comp = 0.0
+    max_mag = 1.0
+    below = 0
+    for n in range(_MAX_TERMS):
+        term *= (a + n) * z / ((b + n) * (n + 1.0))
+        if abs(term) > max_mag:
+            max_mag = abs(term)
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        if abs(term) <= rel_tol * abs(s):
+            below += 1
+            if below == 3:
+                if max_mag > _DD_CANCEL * abs(s):
+                    return _hyp1f1_series_dd(a, b, z)
+                return s
+        else:
+            below = 0
+    raise ConvergenceError(
+        "1F1 series: tolerance %g not met within %d terms at "
+        "(a=%g, b=%g, z=%g)" % (rel_tol, _MAX_TERMS, a, b, z)
+    )
+
+
+def _hyp1f1_series_dd(a, b, z):
+    """Double-double 1F1 series for cancellation-heavy cases.
+
+    The alternating regime (very negative a, large z) can lose up to
+    ~1e14 of relative magnitude between the largest term and the sum;
+    ~32 significant digits absorb that with room to spare.
+
+    Per term: (th, tl) *= two_prod(a + n, z), then /= (b + n) and
+    /= (n + 1), then (sh, sl) += (th, tl), all in double-double with
+    error-free two_sum/two_prod steps written out inline (a call per
+    step would cost more than the arithmetic).
+    """
+    rel_tol = _REL_TOL
+    c = _SPLIT * z
+    zh = c - (c - z)
+    zl = z - zh
+    th, tl = 1.0, 0.0
+    sh, sl = 1.0, 0.0
+    below = 0
+    for n in range(_MAX_TERMS):
+        # (nh, nl) = two_prod(a + n, z)
+        x = a + n
+        nh = x * z
+        c = _SPLIT * x
+        xh = c - (c - x)
+        xl = x - xh
+        nl = ((xh * zh - nh) + xh * zl + xl * zh) + xl * zl
+        # (th, tl) *= (nh, nl)
+        p = th * nh
+        c = _SPLIT * th
+        hh = c - (c - th)
+        hl = th - hh
+        c = _SPLIT * nh
+        mh = c - (c - nh)
+        ml = nh - mh
+        e = ((hh * mh - p) + hh * ml + hl * mh) + hl * ml
+        e += th * nl + tl * nh
+        th = p + e
+        bb = th - p
+        tl = (p - (th - bb)) + (e - bb)
+        # (th, tl) /= d, for d = b + n and then d = n + 1
+        for d in (b + n, n + 1.0):
+            q = th / d
+            ph = q * d
+            c = _SPLIT * q
+            qh = c - (c - q)
+            ql = q - qh
+            c = _SPLIT * d
+            dh = c - (c - d)
+            dl = d - dh
+            pl = ((qh * dh - ph) + qh * dl + ql * dh) + ql * dl
+            s = th + -ph
+            bb = s - th
+            e = (th - (s - bb)) + (-ph - bb)
+            e += tl + -pl
+            rh = s + e
+            bb = rh - s
+            rl = (s - (rh - bb)) + (e - bb)
+            y = (rh + rl) / d
+            th = q + y
+            bb = th - q
+            tl = (q - (th - bb)) + (y - bb)
+        # (sh, sl) += (th, tl)
+        s = sh + th
+        bb = s - sh
+        e = (sh - (s - bb)) + (th - bb)
+        e += sl + tl
+        sh = s + e
+        bb = sh - s
+        sl = (s - (sh - bb)) + (e - bb)
+        if abs(th) <= rel_tol * abs(sh):
+            below += 1
+            if below == 3:
+                return sh + sl
+        else:
+            below = 0
+    raise ConvergenceError(
+        "1F1 series: tolerance %g not met within %d terms at "
+        "(a=%g, b=%g, z=%g)" % (rel_tol, _MAX_TERMS, a, b, z))
+
+
+def _hyp1f1(a, b, z):
+    """1F1(a; b; z) for real arguments, b not a non-positive integer.
+
+    Negative z is routed through the Kummer transformation
+    1F1(a;b;z) = e^z 1F1(b-a;b;-z) so the summed tail never alternates.
+    """
+    if z < 0.0:
+        return math.exp(z) * _hyp1f1_series(b - a, b, -z)
+    return _hyp1f1_series(a, b, z)
+
+
+def kummer_1f1(a, b, z):
     """Kummer confluent hypergeometric 1F1(a; b; z) for real arguments."""
     if _is_nonpositive_integer(b):
         raise PoleError("1F1 pole: b = %g is a non-positive integer" % b)
-    return _k.hyp1f1(a, b, z, control.max_terms, control.rel_tol)
+    return _hyp1f1(a, b, z)
 
 
-def kummer_1f1_dz(a, b, z, control=DEFAULT_CONTROL):
+def kummer_1f1_dz(a, b, z):
     """d/dz 1F1(a; b; z) = (a/b) * 1F1(a+1; b+1; z)."""
     if _is_nonpositive_integer(b):
         raise PoleError("1F1 pole: b = %g is a non-positive integer" % b)
-    return (a / b) * _k.hyp1f1(a + 1.0, b + 1.0, z, control.max_terms, control.rel_tol)
+    return (a / b) * _hyp1f1(a + 1.0, b + 1.0, z)
 
 
-def _series_in(w, control):
+def _series_in(w):
     """s(a, b) = 1F1(a; b; w), summing each distinct (a, b) only once."""
     sums = {}
 
     def s(a, b):
         v = sums.get((a, b))
         if v is None:
-            v = sums[(a, b)] = _k.hyp1f1(a, b, w, control.max_terms,
-                                         control.rel_tol)
+            v = sums[(a, b)] = _hyp1f1(a, b, w)
         return v
 
     return s
@@ -107,8 +229,8 @@ def _hermite(nu, z, series):
     The 1/Gamma weights make the expression total: a term whose weight
     sits at a pole is exactly zero, and its series is not summed.
     """
-    g1 = _k.rgamma(0.5 * (1.0 - nu))
-    g2 = _k.rgamma(-0.5 * nu)
+    g1 = reciprocal_gamma(0.5 * (1.0 - nu))
+    g2 = reciprocal_gamma(-0.5 * nu)
     t1 = 0.0
     if g1 != 0.0:
         t1 = g1 * series(-0.5 * nu, 0.5)
@@ -118,14 +240,14 @@ def _hermite(nu, z, series):
     return math.sqrt(math.pi) * math.pow(2.0, nu) * (t1 - t2)
 
 
-def hermite_h(nu, z, control=DEFAULT_CONTROL):
+def hermite_h(nu, z):
     """Hermite function H_nu(z) of arbitrary real order nu."""
-    return _hermite(nu, z, _series_in(z * z, control))
+    return _hermite(nu, z, _series_in(z * z))
 
 
-def hermite_h_dz(nu, z, control=DEFAULT_CONTROL):
+def hermite_h_dz(nu, z):
     """d/dz H_nu(z) = 2 nu H_{nu-1}(z)."""
-    return 2.0 * nu * _hermite(nu - 1.0, z, _series_in(z * z, control))
+    return 2.0 * nu * _hermite(nu - 1.0, z, _series_in(z * z))
 
 
 def _hermite_kummer(nu, z):
@@ -140,7 +262,7 @@ def _hermite_kummer(nu, z):
     (five for some |nu| < 1/2, where k + 1 and (1 - (nu - 1))/2 round
     to neighbouring doubles).
     """
-    series = _series_in(z * z, DEFAULT_CONTROL)
+    series = _series_in(z * z)
     k = -0.5 * nu
     return (_hermite(nu, z, series),
             2.0 * nu * _hermite(nu - 1.0, z, series),
@@ -148,11 +270,50 @@ def _hermite_kummer(nu, z):
             (k / 0.5) * series(k + 1.0, 1.5))
 
 
-def hyp_1f2(a, b1, b2, z, control=DEFAULT_CONTROL):
+def _hyp1f2(a, b1, b2, z, rel_tol=_REL_TOL):
+    """1F2(a; b1, b2; z), entire in z but cancellation-limited.
+
+    For large negative z the alternating terms grow far beyond the sum
+    before decaying; once the lost digits exceed what double precision
+    can pay for, a ConvergenceError is raised rather than garbage
+    returned (callers needing 1F2(1/2;1,3/2;-y^2/4) at large y should go
+    through ``bessel_j0_integral``).
+    """
+    term = 1.0
+    s = 1.0
+    comp = 0.0
+    below = 0
+    max_mag = 1.0
+    for n in range(_MAX_TERMS):
+        term *= (a + n) * z / ((b1 + n) * (b2 + n) * (n + 1.0))
+        if abs(term) > max_mag:
+            max_mag = abs(term)
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        if abs(term) <= rel_tol * abs(s):
+            below += 1
+            if below == 3:
+                if _EPS * max_mag > _MAX_CANCEL * abs(s):
+                    raise ConvergenceError(
+                        "1F2 series: cancellation beyond double precision at "
+                        "(a=%g, b1=%g, b2=%g, z=%g)" % (a, b1, b2, z)
+                    )
+                return s
+        else:
+            below = 0
+    raise ConvergenceError(
+        "1F2 series: tolerance %g not met within %d terms at "
+        "(a=%g, b1=%g, b2=%g, z=%g)" % (rel_tol, _MAX_TERMS, a, b1, b2, z)
+    )
+
+
+def hyp_1f2(a, b1, b2, z):
     """Generalized hypergeometric 1F2(a; b1, b2; z) for real arguments."""
     if _is_nonpositive_integer(b1) or _is_nonpositive_integer(b2):
         raise PoleError("1F2 pole: lower parameter is a non-positive integer")
-    return _k.hyp1f2(a, b1, b2, z, control.max_terms, control.rel_tol)
+    return _hyp1f2(a, b1, b2, z)
 
 
 def _float_if_scalar(r):
@@ -196,8 +357,38 @@ def bessel_j0_zero(k):
 def bessel_j0_integral(x):
     """Integral of J0 over [0, x]; equals x * 1F2(1/2; 1, 3/2; -x^2/4).
 
-    Stable for any |x| <= 700: the 1F2 series form is used only where
-    double precision can afford its cancellation, a Bessel-sum identity
-    elsewhere.
+    Stable for any |x| <= 700, and odd in x.  Small |x| sums the 1F2
+    series, where double precision can afford its cancellation; past
+    that limit the identity int_0^x J0 = 2 * (J1 + J3 + J5 + ...) is
+    evaluated with Miller's backward recurrence (normalized by
+    J0 + 2*sum J_{2k} = 1).
     """
-    return _k.j0_integral(x)
+    sign = -1.0 if x < 0.0 else 1.0
+    x = abs(x)
+    if x == 0.0:
+        return 0.0
+    if x <= 12.0:
+        return sign * x * _hyp1f2(0.5, 1.0, 1.5, -0.25 * x * x, 1e-15)
+    n_max = int(x + 12.0 * x ** (1.0 / 3.0)) + 12
+    m = n_max + int(math.sqrt(40.0 * n_max))
+    if m % 2 == 1:
+        m += 1
+    jp1 = 0.0
+    jc = 1e-30
+    norm = 0.0
+    odd_sum = 0.0
+    for n in range(m, 0, -1):
+        jm1 = (2.0 * n / x) * jc - jp1
+        jp1 = jc
+        jc = jm1
+        if n % 2 == 1:  # jp1 now holds J_n with n odd
+            odd_sum += jp1
+        else:
+            norm += 2.0 * jp1
+        if abs(jc) > 1e250:  # rescale to avoid overflow of the recurrence
+            jc *= 1e-250
+            jp1 *= 1e-250
+            norm *= 1e-250
+            odd_sum *= 1e-250
+    norm += jc  # jc is the unnormalized J_0
+    return sign * 2.0 * odd_sum / norm

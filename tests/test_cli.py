@@ -96,6 +96,19 @@ def test_config_missing_file(tmp_path):
                      "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["forced", "polar", "transient"])
+@pytest.mark.parametrize("samples", [0, 1])
+def test_too_few_samples_is_config_error(tmp_path, command, samples):
+    """A grid needs both ends: fewer than 2 samples is exit 2, from the
+    flag or from a config file, and no CSV is written."""
+    base = [command, "--preset", "I", "--mu", "1", "--out", str(tmp_path)]
+    assert cli.main(base + ["--samples", str(samples)]) == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_samples": samples}))
+    assert cli.main(base + ["--config", str(cfg)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_forced_summary_and_csv(tmp_path, capsys):
     rc = cli.main(["forced", "--preset", "I", "--drag", "1", "--mu", "1",
                    "--terms", "12", "--samples", "21",

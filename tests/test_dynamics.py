@@ -152,20 +152,30 @@ def test_default_drag_set():
     assert dynamics.DEFAULT_DRAG_SET == (0.2, 0.5, 1.0, 2.0)
 
 
-def test_import_loads_neither_numpy_nor_scipy():
+def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     """The closed-form transient path stays light: scipy.special (J0, J1,
     zeros) and numpy are imported only where the forced case needs them,
-    and the CLI imports the forced case and the oracle only to run them."""
+    and the CLI imports the forced case and the oracle only to run them.
+    Running every preset and the transient and polar commands loads
+    neither either."""
     import weberosc
     src = os.path.dirname(os.path.dirname(weberosc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    for module in ("weberosc.dynamics", "weberosc.cli"):
-        code = ("import sys, %s; "
-                "print(sorted({m.split('.')[0] for m in sys.modules} "
-                "& {'numpy', 'scipy'}))" % module)
+    run = ("from weberosc import cli, dynamics, weber\n"
+           "for p in sorted(dynamics.PRESETS):\n"
+           "    cfg = dynamics.apply_preset(weber.PhysicalConfig(), p)\n"
+           "    dynamics.run_transient(cfg, n_samples=21)\n"
+           "for cmd in ('transient', 'polar'):\n"
+           "    assert cli.main([cmd, '--preset', 'I', '--drag', '0.5',\n"
+           "                     '--samples', '11', '--out', %r]) == 0"
+           % str(tmp_path))
+    for code in ("import weberosc.dynamics", "import weberosc.cli", run):
+        code += ("\nimport sys\n"
+                 "print(sorted({m.split('.')[0] for m in sys.modules} "
+                 "& {'numpy', 'scipy'}))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True,
-                             timeout=60)
-        assert out.stdout.strip() == "[]", module
+                             timeout=120)
+        assert out.stdout.splitlines()[-1] == "[]", code

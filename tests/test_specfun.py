@@ -86,17 +86,15 @@ def test_kummer_1f1_reference_values(args, expected):
 
 @pytest.mark.parametrize("args,expected", KUMMER_DD_ARGS)
 def test_kummer_1f1_double_double_path_runs(monkeypatch, args, expected):
-    # the rerun exists in both backends; only the pure one can be watched
-    from weberosc import _kernels_py as raw
     reruns = []
-    rerun = raw._hyp1f1_series_dd
+    rerun = specfun._hyp1f1_series_dd
 
     def counting(*a):
         reruns.append(a)
         return rerun(*a)
 
-    monkeypatch.setattr(raw, "_hyp1f1_series_dd", counting)
-    assert raw.hyp1f1(*args, 500, 1e-14) == pytest.approx(expected, rel=1e-12)
+    monkeypatch.setattr(specfun, "_hyp1f1_series_dd", counting)
+    assert specfun._hyp1f1(*args) == pytest.approx(expected, rel=1e-12)
     assert len(reruns) == 1
 
 
@@ -178,14 +176,14 @@ def test_hyp_1f2_cancellation_guard():
         specfun.hyp_1f2(0.5, 1.0, 1.5, -250000.0)
 
 
-def test_series_control_validation():
-    with pytest.raises(DomainError):
-        specfun.SeriesControl(max_terms=0)
-    with pytest.raises(DomainError):
-        specfun.SeriesControl(rel_tol=2.0)
-    with pytest.raises(ConvergenceError):
-        specfun.kummer_1f1(0.5, 1.5, 35.0,
-                           control=specfun.SeriesControl(max_terms=5))
+def test_series_term_budget_exhausted():
+    # each series stops after a fixed 500 terms; one that has not met its
+    # tolerance by then refuses instead of returning a truncated sum
+    with pytest.raises(ConvergenceError, match="within 500 terms"):
+        specfun.kummer_1f1(0.5, 1.5, 600.0)
+    # the same through the Kummer transformation (z < 0)
+    with pytest.raises(ConvergenceError, match="within 500 terms"):
+        specfun.kummer_1f1(-0.3, 0.7, -700.0)
 
 
 def test_kummer_ode_residual():
@@ -224,13 +222,12 @@ def test_hermite_integer_order_recurrence():
 
 def test_kummer_transformation_identity():
     """1F1(a;b;z) = e^z 1F1(b-a;b;-z)."""
-    from weberosc import _kernels_py as raw
     for a, b in [(0.3, 1.2), (1.25, 2.5), (-0.4, 0.9)]:
         # raw series on both sides, where the alternating side still has
         # enough precision left (cancellation grows like e^z * eps)
         for z in (0.5, 3.0, 7.0, 10.0):
-            direct = raw._hyp1f1_series(a, b, z, 500, 1e-14)
-            other = math.exp(z) * raw._hyp1f1_series(b - a, b, -z, 500, 1e-14)
+            direct = specfun._hyp1f1_series(a, b, z)
+            other = math.exp(z) * specfun._hyp1f1_series(b - a, b, -z)
             assert other == pytest.approx(direct, rel=1e-10)
         # public evaluator out to z = 30
         for z in (11.0, 20.0, 30.0):
