@@ -84,6 +84,13 @@ def _build_config(args) -> tuple:
     file_vals = load_config(args.config) if args.config else {}
     phys = {k: v for k, v in file_vals.items() if k in _PHYSICAL_KEYS}
     run = {k: v for k, v in file_vals.items() if k in _RUN_KEYS}
+    if not isinstance(run.get("oracle", False), bool):
+        raise ConfigError("oracle must be true or false, got %r"
+                          % (run["oracle"],))
+    for key in ("n_samples", "n_terms"):
+        v = run.get(key)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ConfigError("%s must be an integer, got %r" % (key, v))
     config = weber.PhysicalConfig(**phys)
     preset = args.preset if args.preset is not None else run.get("preset")
     if preset is not None:
@@ -136,8 +143,9 @@ def cmd_transient(args) -> int:
     tol = _comparison_tol()
     tag = run["preset"] or "custom"
     status = EXIT_OK
-    for A in drags:
-        cfg = config.with_overrides(A=A)
+    # every drag is validated before the first CSV is written
+    cfgs = [config.with_overrides(A=A) for A in drags]
+    for A, cfg in zip(drags, cfgs):
         result = dynamics.run_transient(cfg, n_samples=run["n_samples"])
         rows = [(s.t, s.x, s.xdot, s.z, s.zdot, s.theta, s.rho, s.Ry, s.Rz)
                 for s in result.samples]
@@ -174,8 +182,8 @@ def cmd_forced(args) -> int:
     if base.q == 0.0:
         raise ConfigError("forced requires q != 0 (hermite/kummer branch)")
     drags = _parse_drag(run["drag"]) if run["drag"] is not None else (base.A,)
-    for A in drags:
-        _run_forced(base.with_overrides(A=A), run)
+    for cfg in [base.with_overrides(A=A) for A in drags]:
+        _run_forced(cfg, run)
     return EXIT_OK
 
 

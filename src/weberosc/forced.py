@@ -120,13 +120,12 @@ def eval_expansion(exp: FourierBesselExpansion, t: float) -> float:
 def integrate_expansion(exp: FourierBesselExpansion, t: float) -> float:
     """Exact termwise integral of the partial sum over [0, t].
 
-    Each term integrates to t * B_k * 1F2(1/2; 1, 3/2; -a_k^2 t^2 / (4 t_bar^2));
-    evaluated through the cancellation-safe J0-integral form.
+    Term k integrates to B_k (t_bar / a_k) int_0^{a_k t / t_bar} J0,
+    i.e. t B_k 1F2(1/2; 1, 3/2; -a_k^2 t^2 / (4 t_bar^2)).
     """
-    s = 0.0
-    for bk, ak in zip(exp.B, exp.alphas):
-        s += bk * (exp.t_bar / ak) * specfun.bessel_j0_integral(ak * t / exp.t_bar)
-    return s
+    return float(np.dot(np.divide(exp.B, exp.alphas) * exp.t_bar,
+                        specfun.bessel_j0_integral(
+                            np.multiply(exp.alphas, t / exp.t_bar))))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Special functions backing every closed form in the package.
 
-Kummer's 1F1, the generalized 1F2 and the J0 integral are scalar
-pure-Python kernels defined here; the Hermite functions are
-Gamma-weighted pairs of 1F1 series, combined here too.  J0, J1 and the
-J0 zeros come from :mod:`scipy.special`, imported on first use so that
-the closed-form transient path never loads numpy or scipy.  All
-functions are pure and thread-safe.
+Kummer's 1F1 and the generalized 1F2 are scalar pure-Python series
+defined here; the Hermite functions are Gamma-weighted pairs of 1F1
+series, combined here too.  J0, J1, the J0 zeros and the J0 integral
+(in its Struve form) come from :mod:`scipy.special`, imported on first
+use so that the closed-form transient path never loads numpy or scipy.
+All functions are pure and thread-safe.
 
 Every series uses Kahan-compensated summation and stops once the term
 magnitude stays below ``_REL_TOL`` times the partial sum for three
@@ -270,15 +270,17 @@ def _hermite_kummer(nu, z):
             (k / 0.5) * series(k + 1.0, 1.5))
 
 
-def _hyp1f2(a, b1, b2, z, rel_tol=_REL_TOL):
-    """1F2(a; b1, b2; z), entire in z but cancellation-limited.
+def hyp_1f2(a, b1, b2, z):
+    """Generalized hypergeometric 1F2(a; b1, b2; z) for real arguments.
 
-    For large negative z the alternating terms grow far beyond the sum
-    before decaying; once the lost digits exceed what double precision
-    can pay for, a ConvergenceError is raised rather than garbage
-    returned (callers needing 1F2(1/2;1,3/2;-y^2/4) at large y should go
-    through ``bessel_j0_integral``).
+    Entire in z but cancellation-limited: for large negative z the
+    alternating terms grow far beyond the sum before decaying; once the
+    lost digits exceed what double precision can pay for, a
+    ConvergenceError is raised rather than garbage returned (for
+    1F2(1/2; 1, 3/2; -y^2/4) at large y use ``bessel_j0_integral``).
     """
+    if _is_nonpositive_integer(b1) or _is_nonpositive_integer(b2):
+        raise PoleError("1F2 pole: lower parameter is a non-positive integer")
     term = 1.0
     s = 1.0
     comp = 0.0
@@ -292,7 +294,7 @@ def _hyp1f2(a, b1, b2, z, rel_tol=_REL_TOL):
         t = s + y
         comp = (t - s) - y
         s = t
-        if abs(term) <= rel_tol * abs(s):
+        if abs(term) <= _REL_TOL * abs(s):
             below += 1
             if below == 3:
                 if _EPS * max_mag > _MAX_CANCEL * abs(s):
@@ -305,15 +307,8 @@ def _hyp1f2(a, b1, b2, z, rel_tol=_REL_TOL):
             below = 0
     raise ConvergenceError(
         "1F2 series: tolerance %g not met within %d terms at "
-        "(a=%g, b1=%g, b2=%g, z=%g)" % (rel_tol, _MAX_TERMS, a, b1, b2, z)
+        "(a=%g, b1=%g, b2=%g, z=%g)" % (_REL_TOL, _MAX_TERMS, a, b1, b2, z)
     )
-
-
-def hyp_1f2(a, b1, b2, z):
-    """Generalized hypergeometric 1F2(a; b1, b2; z) for real arguments."""
-    if _is_nonpositive_integer(b1) or _is_nonpositive_integer(b2):
-        raise PoleError("1F2 pole: lower parameter is a non-positive integer")
-    return _hyp1f2(a, b1, b2, z)
 
 
 def _float_if_scalar(r):
@@ -357,38 +352,15 @@ def bessel_j0_zero(k):
 def bessel_j0_integral(x):
     """Integral of J0 over [0, x]; equals x * 1F2(1/2; 1, 3/2; -x^2/4).
 
-    Stable for any |x| <= 700, and odd in x.  Small |x| sums the 1F2
-    series, where double precision can afford its cancellation; past
-    that limit the identity int_0^x J0 = 2 * (J1 + J3 + J5 + ...) is
-    evaluated with Miller's backward recurrence (normalized by
-    J0 + 2*sum J_{2k} = 1).
+    Evaluated through Struve functions (DLMF 10.22.2),
+    int_0^x J0 = x J0(x) + (pi x / 2) (J1(x) H0(x) - J0(x) H1(x)),
+    at |x| and given the sign of x, so it is exactly odd.  A float for
+    a scalar ``x``, an ndarray for an array.
     """
-    sign = -1.0 if x < 0.0 else 1.0
-    x = abs(x)
-    if x == 0.0:
-        return 0.0
-    if x <= 12.0:
-        return sign * x * _hyp1f2(0.5, 1.0, 1.5, -0.25 * x * x, 1e-15)
-    n_max = int(x + 12.0 * x ** (1.0 / 3.0)) + 12
-    m = n_max + int(math.sqrt(40.0 * n_max))
-    if m % 2 == 1:
-        m += 1
-    jp1 = 0.0
-    jc = 1e-30
-    norm = 0.0
-    odd_sum = 0.0
-    for n in range(m, 0, -1):
-        jm1 = (2.0 * n / x) * jc - jp1
-        jp1 = jc
-        jc = jm1
-        if n % 2 == 1:  # jp1 now holds J_n with n odd
-            odd_sum += jp1
-        else:
-            norm += 2.0 * jp1
-        if abs(jc) > 1e250:  # rescale to avoid overflow of the recurrence
-            jc *= 1e-250
-            jp1 *= 1e-250
-            norm *= 1e-250
-            odd_sum *= 1e-250
-    norm += jc  # jc is the unnormalized J_0
-    return sign * 2.0 * odd_sum / norm
+    import numpy as np
+    from scipy.special import j0, j1, struve
+    ax = np.abs(x)
+    j0x = j0(ax)
+    r = ax * j0x + 0.5 * np.pi * ax * (j1(ax) * struve(0, ax)
+                                       - j0x * struve(1, ax))
+    return _float_if_scalar(np.copysign(r, x))

@@ -7,7 +7,7 @@ damped by a shared Gaussian-exponential envelope.  The q = 0 case
 handled as an exact separate branch, not as a limit.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 import math
 
@@ -44,6 +44,10 @@ class PhysicalConfig:
     t_end: float = 10.0     # horizon when 1/q does not apply [s]
 
     def validate(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ConfigError("%s must be finite, got %r" % (f.name, v))
         if self.m <= 0:
             raise ConfigError("m must be > 0")
         if self.k1 <= 0:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from weberosc import cli, dynamics, forced, specfun, weber
+from weberosc.errors import ConfigError
 
 
 def _read_csv(path):
@@ -94,6 +95,37 @@ def test_config_not_a_dict(tmp_path):
 def test_config_missing_file(tmp_path):
     assert cli.main(["transient",
                      "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"oracle": "false"}, {"oracle": 0}, {"n_terms": 7.9},
+    {"n_terms": True}, {"n_samples": 11.0}, {"n_samples": "11"},
+])
+def test_config_run_key_types(tmp_path, bad):
+    """oracle must be a JSON bool, n_samples/n_terms JSON integers."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(bad, preset="I")))
+    for command in ("transient", "forced"):
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_config_error(tmp_path, value):
+    """A NaN or infinite value in any field is exit 2, never NaN output."""
+    for name in weber.PhysicalConfig.__dataclass_fields__:
+        with pytest.raises(ConfigError, match=name):
+            weber.PhysicalConfig(**{name: value}).validate()
+    out = ["--out", str(tmp_path)]
+    assert cli.main(["transient", "--preset", "V", "--drag=%r" % value]
+                    + out) == 2
+    assert cli.main(["forced", "--preset", "I", "--mu=%r" % value] + out) == 2
+    # a bad drag later in the list is refused before any CSV is written
+    for command in ("transient", "forced"):
+        assert cli.main([command, "--preset", "I", "--mu", "1",
+                         "--drag=0.5,%r" % value] + out) == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["forced", "polar", "transient"])

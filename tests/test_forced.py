@@ -135,6 +135,18 @@ def test_termwise_integration_equals_quadrature():
             direct, rel=1e-8)
 
 
+def test_integrate_expansion_is_termwise_sum(fit200):
+    """The array product equals the loop over scalar J0-integral calls,
+    up to the rounding of a 200-term sum."""
+    for exp in (fit200.exp1, fit200.exp2):
+        for t in (0.0, 2.5, 9.9):
+            terms = [bk * (exp.t_bar / ak)
+                     * specfun.bessel_j0_integral(ak * t / exp.t_bar)
+                     for bk, ak in zip(exp.B, exp.alphas)]
+            assert abs(forced.integrate_expansion(exp, t) - math.fsum(terms)) \
+                <= 1e-14 * sum(map(abs, terms))
+
+
 def test_single_term_integral_identity():
     """One-term expansion: termwise integral equals the J0 quadrature."""
     tb = 2.0

@@ -6,6 +6,7 @@ and frozen here; the library itself never depends on mpmath.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,6 +75,10 @@ J0_INTEGRAL_REFS = [
     (12.1, 0.7799964103946571),
     (60.0, 1.0481087367702835),
     (627.0, 0.9725739446089868),
+    # 25.6 lies in the Struve form's least accurate band; 941 is close to
+    # alpha_300 = 941.5, which bounds the arguments of a 300-term expansion
+    (25.6, 0.9471134300376906),
+    (941.0, 0.9799904749424762),
 ]
 
 
@@ -133,12 +138,22 @@ def test_series_at_origin():
     assert specfun.bessel_j0(0.0) == 1.0
     assert specfun.bessel_j1(0.0) == 0.0
     assert specfun.bessel_j0_integral(0.0) == 0.0
+    zero = specfun.bessel_j0_integral(np.zeros(3))
+    assert isinstance(zero, np.ndarray)
+    assert zero.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_parity():
     assert specfun.bessel_j0(-3.7) == specfun.bessel_j0(3.7)
     assert specfun.bessel_j1(-3.7) == -specfun.bessel_j1(3.7)
     assert specfun.bessel_j0_integral(-5.0) == -specfun.bessel_j0_integral(5.0)
+    x = np.array([0.5, 5.0, 11.9, 12.1, 25.6, 60.0, 627.0, 941.0])
+    pos = specfun.bessel_j0_integral(x)
+    assert isinstance(pos, np.ndarray)
+    # each element is its scalar call, bit for bit
+    assert [v.hex() for v in pos.tolist()] == [
+        specfun.bessel_j0_integral(v).hex() for v in x.tolist()]
+    assert (specfun.bessel_j0_integral(-x) == -pos).all()
 
 
 def test_reciprocal_gamma():
