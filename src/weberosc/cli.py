@@ -201,25 +201,11 @@ def _run_forced(config, run) -> None:
     path = os.path.join(run["out"], "forced_A%g.csv" % config.A)
     write_csv(path, ["t", "x", "xdot", "c1", "c2", "x_particular"], rows)
 
-    # residual of the particular integral by central differences
-    co = ps.coeffs
-    h = 1e-4
-    res_max = 0.0
-    for i in range(41):
-        t = h + (0.9 * horizon - h) * i / 40
-        xm = forced.eval_particular(ps, t - h)[0]
-        x0 = forced.eval_particular(ps, t)[0]
-        xp = forced.eval_particular(ps, t + h)[0]
-        r = ((xp - 2.0 * x0 + xm) / (h * h) + co.A * (xp - xm) / (2.0 * h)
-             - (co.a * t * t + co.b * t + co.c) * x0 - config.mu)
-        res_max = max(res_max, abs(r))
-
     xdots = [row[2] for row in rows if row[0] > 1.0]
     oscillatory = _zero_crossings(xdots) > 1
-    print("forced mu=%g A=%g t_bar=(%r, %r) n_terms=%d residual_max=%r "
-          "oscillatory=%s"
+    print("forced mu=%g A=%g t_bar=(%r, %r) n_terms=%d oscillatory=%s"
           % (config.mu, config.A, ps.exp1.t_bar, ps.exp2.t_bar,
-             ps.exp1.n_terms, res_max, oscillatory))
+             ps.exp1.n_terms, oscillatory))
 
 
 def cmd_polar(args) -> int:

@@ -16,8 +16,9 @@ import math
 import numpy as np
 from scipy.optimize import brentq as _brentq
 
-from . import specfun, weber
-from .errors import ConvergenceError, DegenerateBasisError, RootNotFoundError
+from . import dynamics, specfun, weber
+from .errors import (ConvergenceError, DegenerateBasisError, DomainError,
+                     RootNotFoundError)
 from .weber import ClosedFormSolution, PhysicalConfig, WeberCoefficients
 
 _BRACKET_WINDOW = 5.0
@@ -130,13 +131,13 @@ def integrate_expansion(exp: FourierBesselExpansion, t: float) -> float:
 
 @dataclass(frozen=True)
 class ParticularSolution:
-    """x_bar = c1 x1 + c2 x2 with c1, c2 from the fitted expansions."""
+    """x_bar = c1 x1 + c2 x2 with c1, c2 from the fitted expansions:
+    c1' = -mu x2/W and c2' = mu x1/W for W = x1 x2' - x2 x1'."""
 
     coeffs: WeberCoefficients
     mu: float
     exp1: FourierBesselExpansion  # fit of x2/W, feeds c1
     exp2: FourierBesselExpansion  # fit of x1/W, feeds c2
-    prefactors: tuple             # (-mu, +mu), fixed to W = x1 x2' - x2 x1'
 
 
 def default_n_terms(A: float) -> int:
@@ -149,26 +150,29 @@ def variation_constants(coeffs: WeberCoefficients, mu: float,
     """Build the particular solution of the mu-forced equation."""
     if n_terms is None:
         n_terms = default_n_terms(coeffs.A)
-    tb1 = find_root_after(lambda t: integrand_c1(coeffs, t), t_end)
+    tb1 = find_tbar(coeffs, t_end)
     tb2 = find_root_after(lambda t: integrand_c2(coeffs, t), t_end)
     exp1 = fourier_bessel_fit(lambda t: integrand_c1(coeffs, t), tb1, n_terms)
     exp2 = fourier_bessel_fit(lambda t: integrand_c2(coeffs, t), tb2, n_terms)
-    return ParticularSolution(coeffs=coeffs, mu=mu, exp1=exp1, exp2=exp2,
-                              prefactors=(-mu, mu))
+    return ParticularSolution(coeffs=coeffs, mu=mu, exp1=exp1, exp2=exp2)
 
 
 def _integrals(ps: ParticularSolution, t: float):
-    p1, p2 = ps.prefactors
-    return (p1 * integrate_expansion(ps.exp1, t),
-            p2 * integrate_expansion(ps.exp2, t))
+    """(c1, c2) at time t; raises outside [0, min(t_bar1, t_bar2)], where
+    the expansions no longer represent the integrands."""
+    t_max = min(ps.exp1.t_bar, ps.exp2.t_bar)
+    if not 0.0 <= t <= t_max:
+        raise DomainError("particular solution is fitted on [0, %r], "
+                          "got t = %r" % (t_max, t))
+    return (-ps.mu * integrate_expansion(ps.exp1, t),
+            ps.mu * integrate_expansion(ps.exp2, t))
 
 
 def lagrange_coefficients(ps: ParticularSolution, t: float):
     """(c1, c2, c1', c2') at time t."""
-    p1, p2 = ps.prefactors
     c1, c2 = _integrals(ps, t)
-    c1dot = p1 * eval_expansion(ps.exp1, t)
-    c2dot = p2 * eval_expansion(ps.exp2, t)
+    c1dot = -ps.mu * eval_expansion(ps.exp1, t)
+    c2dot = ps.mu * eval_expansion(ps.exp2, t)
     return c1, c2, c1dot, c2dot
 
 
@@ -180,11 +184,11 @@ def _combine(k1, k2, basis):
 
 def eval_particular(ps: ParticularSolution, t: float):
     """(x_bar, x_bar') at time t."""
-    basis = weber.evaluate_basis(ps.coeffs, t)
+    c1, c2 = _integrals(ps, t)
     # the Lagrange constraint c1' x1 + c2' x2 = 0 is imposed analytically:
     # evaluating it from the truncated expansions instead would multiply
     # their tiny pointwise error by the ~1e15 basis magnitude at t = 0
-    return _combine(*_integrals(ps, t), basis)
+    return _combine(c1, c2, weber.evaluate_basis(ps.coeffs, t))
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,12 @@ class ForcedSolution:
 
 def solve_forced_ivp(config: PhysicalConfig,
                      n_terms: int | None = None) -> ForcedSolution:
-    """Full solution of the forced problem meeting (x0, v0) at t = 0."""
+    """Full solution of the forced problem meeting (x0, v0) at t = 0,
+    fitted on the physical horizon ``dynamics.horizon(config)``."""
     config.validate()
     coeffs = weber.map_params(config)
     ps = variation_constants(coeffs, config.mu, n_terms=n_terms,
-                             t_end=min(config.t_end,
-                                       1.0 / config.q if config.q > 0 else config.t_end))
+                             t_end=dynamics.horizon(config))
     xb0, vb0 = eval_particular(ps, 0.0)
     hom = weber.solve_ivp(coeffs, config.x0 - xb0, config.v0 - vb0)
     return ForcedSolution(particular=ps, homogeneous=hom)
@@ -213,8 +217,8 @@ def eval_forced_parts(fs: ForcedSolution, t: float):
     Lagrange coefficients and the particular part, from one evaluation
     of the basis and of each coefficient integral."""
     ps, hom = fs.particular, fs.homogeneous
-    basis = weber.evaluate_basis(ps.coeffs, t)
     c1, c2 = _integrals(ps, t)
+    basis = weber.evaluate_basis(ps.coeffs, t)
     xb, vb = _combine(c1, c2, basis)
     # the homogeneous part shares the basis: the particular solution
     # exists only on the Hermite/Kummer branch (a > 0)

@@ -11,9 +11,13 @@ Every series uses Kahan-compensated summation and stops once the term
 magnitude stays below ``_REL_TOL`` times the partial sum for three
 consecutive terms (single-term tests are unsafe at the argument sizes
 this problem reaches, |z| ~ 40 and beyond); a series that has not
-stopped after ``_MAX_TERMS`` terms raises ``ConvergenceError``.
+stopped after ``_MAX_TERMS`` terms raises ``ConvergenceError``.  A 1F1
+series whose largest term exceeds its sum by more than ``_WIDE_CANCEL``
+is summed again at 34 significant digits in the standard library's
+:mod:`decimal`, which the closed-form transient path loads anyway.
 """
 
+from decimal import Context, Decimal, localcontext
 import math
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -42,14 +46,11 @@ _EPS = 2.220446049250313e-16
 _MAX_CANCEL = 1e-6
 
 # A plain double summation keeps ~eps * (largest term / sum) relative
-# accuracy; beyond this magnitude ratio the 1F1 series is re-summed in
-# double-double arithmetic.
-_DD_CANCEL = 1e4
-
-# Dekker split: c = _SPLIT * x; hi = c - (c - x); lo = x - hi.  The
-# products below are exact for |x|, |y| < ~1e292 (far beyond series
-# terms that survive without overflowing the final sum anyway).
-_SPLIT = 134217729.0
+# accuracy; beyond this magnitude ratio the 1F1 series is re-summed at
+# 34 significant digits in decimal arithmetic (localcontext works on a
+# copy of _WIDE, so concurrent reruns share no state).
+_WIDE_CANCEL = 1e4
+_WIDE = Context(prec=34)
 
 
 def _is_nonpositive_integer(x):
@@ -91,8 +92,8 @@ def _hyp1f1_series(a, b, z):
         if abs(term) <= rel_tol * abs(s):
             below += 1
             if below == 3:
-                if max_mag > _DD_CANCEL * abs(s):
-                    return _hyp1f1_series_dd(a, b, z)
+                if max_mag > _WIDE_CANCEL * abs(s):
+                    return _hyp1f1_series_wide(a, b, z)
                 return s
         else:
             below = 0
@@ -102,85 +103,31 @@ def _hyp1f1_series(a, b, z):
     )
 
 
-def _hyp1f1_series_dd(a, b, z):
-    """Double-double 1F1 series for cancellation-heavy cases.
+def _hyp1f1_series_wide(a, b, z):
+    """The 1F1 series summed at 34 significant digits, for
+    cancellation-heavy cases.
 
     The alternating regime (very negative a, large z) can lose up to
     ~1e14 of relative magnitude between the largest term and the sum;
-    ~32 significant digits absorb that with room to spare.
-
-    Per term: (th, tl) *= two_prod(a + n, z), then /= (b + n) and
-    /= (n + 1), then (sh, sl) += (th, tl), all in double-double with
-    error-free two_sum/two_prod steps written out inline (a call per
-    step would cost more than the arithmetic).
+    34 digits absorb that with room to spare.
     """
-    rel_tol = _REL_TOL
-    c = _SPLIT * z
-    zh = c - (c - z)
-    zl = z - zh
-    th, tl = 1.0, 0.0
-    sh, sl = 1.0, 0.0
-    below = 0
-    for n in range(_MAX_TERMS):
-        # (nh, nl) = two_prod(a + n, z)
-        x = a + n
-        nh = x * z
-        c = _SPLIT * x
-        xh = c - (c - x)
-        xl = x - xh
-        nl = ((xh * zh - nh) + xh * zl + xl * zh) + xl * zl
-        # (th, tl) *= (nh, nl)
-        p = th * nh
-        c = _SPLIT * th
-        hh = c - (c - th)
-        hl = th - hh
-        c = _SPLIT * nh
-        mh = c - (c - nh)
-        ml = nh - mh
-        e = ((hh * mh - p) + hh * ml + hl * mh) + hl * ml
-        e += th * nl + tl * nh
-        th = p + e
-        bb = th - p
-        tl = (p - (th - bb)) + (e - bb)
-        # (th, tl) /= d, for d = b + n and then d = n + 1
-        for d in (b + n, n + 1.0):
-            q = th / d
-            ph = q * d
-            c = _SPLIT * q
-            qh = c - (c - q)
-            ql = q - qh
-            c = _SPLIT * d
-            dh = c - (c - d)
-            dl = d - dh
-            pl = ((qh * dh - ph) + qh * dl + ql * dh) + ql * dl
-            s = th + -ph
-            bb = s - th
-            e = (th - (s - bb)) + (-ph - bb)
-            e += tl + -pl
-            rh = s + e
-            bb = rh - s
-            rl = (s - (rh - bb)) + (e - bb)
-            y = (rh + rl) / d
-            th = q + y
-            bb = th - q
-            tl = (q - (th - bb)) + (y - bb)
-        # (sh, sl) += (th, tl)
-        s = sh + th
-        bb = s - sh
-        e = (sh - (s - bb)) + (th - bb)
-        e += sl + tl
-        sh = s + e
-        bb = sh - s
-        sl = (s - (sh - bb)) + (e - bb)
-        if abs(th) <= rel_tol * abs(sh):
-            below += 1
-            if below == 3:
-                return sh + sl
-        else:
-            below = 0
+    with localcontext(_WIDE):
+        da, db, dz = Decimal(a), Decimal(b), Decimal(z)
+        rel_tol = Decimal(_REL_TOL)
+        term = s = Decimal(1)
+        below = 0
+        for n in range(_MAX_TERMS):
+            term = term * (da + n) * dz / ((db + n) * (n + 1))
+            s += term
+            if abs(term) <= rel_tol * abs(s):
+                below += 1
+                if below == 3:
+                    return float(s)
+            else:
+                below = 0
     raise ConvergenceError(
         "1F1 series: tolerance %g not met within %d terms at "
-        "(a=%g, b=%g, z=%g)" % (rel_tol, _MAX_TERMS, a, b, z))
+        "(a=%g, b=%g, z=%g)" % (_REL_TOL, _MAX_TERMS, a, b, z))
 
 
 def _hyp1f1(a, b, z):

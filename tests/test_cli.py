@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from weberosc import cli, dynamics, forced, specfun, weber
+from weberosc import cli, dynamics, forced, oracle, specfun, weber
 from weberosc.errors import ConfigError
 
 
@@ -174,6 +174,29 @@ def test_forced_csv_rows_match_library_calls(tmp_path):
         xbar, _ = forced.eval_particular(fs.particular, t)
         assert [float(v).hex() for v in row] == \
             [v.hex() for v in (t, x, xdot, c1, c2, xbar)]
+
+
+def test_forced_rows_stay_on_the_fitted_span(tmp_path, capsys):
+    """With q = 0.08 the rows run to 1/q = 12.5 s, past the default
+    t_end = 10 s: both t_bar lie beyond the last row, and x follows the
+    oracle to the end."""
+    cfg_path = tmp_path / "arm.json"
+    cfg_path.write_text(json.dumps({"q": 0.08}))
+    rc = cli.main(["forced", "--config", str(cfg_path), "--mu", "1",
+                   "--drag", "0.3", "--terms", "40", "--samples", "26",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    t_bars = out.split("t_bar=(")[1].split(")")[0].split(",")
+    _, rows = _read_csv(tmp_path / "forced_A0.3.csv")
+    assert float(rows[-1][0]) == 12.5
+    assert min(float(v) for v in t_bars) > 12.5
+    cfg = weber.PhysicalConfig(q=0.08, A=0.3, mu=1.0)
+    res = oracle.integrate_ode(weber.map_params(cfg), cfg.mu, cfg.x0,
+                               cfg.v0, 12.5, rel_tol=1e-11, n_samples=26)
+    x_ref = res.x.tolist()
+    err = max(abs(float(row[1]) - v) for row, v in zip(rows, x_ref))
+    assert err <= 1e-2 * max(map(abs, x_ref))
 
 
 def test_forced_zero_mu_matches_transient_closed_form(tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weberosc import forced, oracle, specfun, weber
+from weberosc import dynamics, forced, oracle, specfun, weber
 from weberosc.errors import (ConvergenceError, DegenerateBasisError,
-                             RootNotFoundError)
+                             DomainError, RootNotFoundError)
 
 
 def test_find_tbar_sample_value(sample_coeffs):
@@ -235,6 +235,32 @@ def test_forced_matches_oracle(forced300, sample_config, sample_coeffs):
     rep = oracle.compare(res.grid,
                          lambda t: forced.eval_forced(forced300, t), res)
     assert rep.max_rel_err <= 1e-4
+
+
+@pytest.mark.parametrize("overrides", [{"q": 0.08, "A": 0.3},
+                                       {"q": 0.1, "t_end": 5.0, "A": 0.5}])
+def test_forced_fit_covers_the_horizon(overrides):
+    """The expansions are fitted past dynamics.horizon (1/q here, not
+    t_end), so the solution follows the oracle over the whole physical
+    span, and evaluation outside [0, min(t_bar1, t_bar2)] is refused."""
+    cfg = weber.PhysicalConfig(mu=1.0, **overrides)
+    fs = forced.solve_forced_ivp(cfg, n_terms=40)
+    ps = fs.particular
+    horizon = dynamics.horizon(cfg)
+    t_max = min(ps.exp1.t_bar, ps.exp2.t_bar)
+    assert horizon < t_max < horizon + 1.0
+    res = oracle.integrate_ode(ps.coeffs, cfg.mu, cfg.x0, cfg.v0, horizon,
+                               rel_tol=1e-11, n_samples=101)
+    x = np.array([forced.eval_forced(fs, t)[0] for t in res.grid])
+    assert np.max(np.abs(x - res.x)) <= 1e-2 * np.max(np.abs(res.x))
+    for t in (-1e-9, math.nextafter(t_max, math.inf), math.nan):
+        for evaluate in (forced.eval_forced, forced.eval_forced_parts):
+            with pytest.raises(DomainError):
+                evaluate(fs, t)
+        for evaluate in (forced.eval_particular,
+                         forced.lagrange_coefficients):
+            with pytest.raises(DomainError):
+                evaluate(ps, t)
 
 
 def test_forced_overdamped_no_oscillation(sample_config, sample_coeffs):

@@ -1,14 +1,17 @@
 """Special-function kernels against frozen high-precision references.
 
 Reference values were computed once with mpmath at 40 significant digits
-and frozen here; the library itself never depends on mpmath.
+and frozen here; one hypothesis test also draws its references from
+mpmath.  The library itself never depends on mpmath.
 """
 
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weberosc import specfun
 from weberosc.errors import ConvergenceError, DomainError, PoleError
@@ -24,14 +27,16 @@ KUMMER_REFS = [
     ((0.5, 1.5, 40.0), 2980568725898933.0),
     ((-0.3, 0.7, -12.5), 2.7692758755564095),
     # preset III basis series (A = 0.5, t = 2, 5, 8): the terms cancel by
-    # 1e5 to 5e10, so these values come from the double-double rerun
+    # 1e5 to 5e10, so these values come from the 34-digit rerun
     ((-24.697916666666664, 0.5, 67.5), -452864921486823.6),
     ((-24.197916666666664, 1.5, 43.2), -32112276.104346737),
     ((-23.697916666666664, 1.5, 97.20000000000002), 3.0644419579606196e+19),
+    # the heaviest preset III series at t_end = 10: cancellation 1.5e14
+    ((-24.697916666666664, 0.5, 30.0), -1433.2221586358403),
 ]
 
-# (a, b, z) of KUMMER_REFS that take the double-double rerun
-KUMMER_DD_ARGS = KUMMER_REFS[-3:]
+# (a, b, z) of KUMMER_REFS that take the 34-digit rerun
+KUMMER_WIDE_ARGS = KUMMER_REFS[-4:]
 
 HERMITE_REFS = [
     ((16.25, -5.477225575051661), 1242415762257545.5),
@@ -89,16 +94,16 @@ def test_kummer_1f1_reference_values(args, expected):
     assert specfun.kummer_1f1(*args) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("args,expected", KUMMER_DD_ARGS)
-def test_kummer_1f1_double_double_path_runs(monkeypatch, args, expected):
+@pytest.mark.parametrize("args,expected", KUMMER_WIDE_ARGS)
+def test_kummer_1f1_wide_path_runs(monkeypatch, args, expected):
     reruns = []
-    rerun = specfun._hyp1f1_series_dd
+    rerun = specfun._hyp1f1_series_wide
 
     def counting(*a):
         reruns.append(a)
         return rerun(*a)
 
-    monkeypatch.setattr(specfun, "_hyp1f1_series_dd", counting)
+    monkeypatch.setattr(specfun, "_hyp1f1_series_wide", counting)
     assert specfun._hyp1f1(*args) == pytest.approx(expected, rel=1e-12)
     assert len(reruns) == 1
 
@@ -274,6 +279,22 @@ def test_kummer_ode_residual_random(a, b, z):
     ypp = (a * (a + 1.0)) / (b * (b + 1.0)) * specfun.kummer_1f1(
         a + 2.0, b + 2.0, z)
     assert abs(z * ypp + (b - z) * yp - a * y) <= 1e-8 * max(1.0, abs(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-30.0, -5.0), b=st.sampled_from([0.5, 1.5]),
+       z=st.floats(10.0, 110.0))
+def test_kummer_1f1_wide_rerun_against_mpmath(a, b, z):
+    """Where cancellation sends a series to the 34-digit rerun, the
+    result is a float within 1e-13 of mpmath at 40 digits."""
+    with mock.patch.object(specfun, "_hyp1f1_series_wide",
+                           wraps=specfun._hyp1f1_series_wide) as rerun:
+        y = specfun.kummer_1f1(a, b, z)
+    assume(rerun.called)
+    assert type(y) is float
+    with mpmath.workdps(40):
+        ref = mpmath.hyp1f1(a, b, z)
+        assert float(abs((y - ref) / ref)) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
