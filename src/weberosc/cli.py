@@ -59,7 +59,7 @@ def load_config(path: str) -> dict:
     return data
 
 
-def write_csv(path: str, header: list, rows: list) -> None:
+def write_csv(path: str, header, rows) -> None:
     """Atomic CSV write; floats rendered by repr (shortest round-trip)."""
     def cell(v):
         return repr(float(v)) if isinstance(v, float) else str(v)
@@ -147,11 +147,8 @@ def cmd_transient(args) -> int:
     cfgs = [config.with_overrides(A=A) for A in drags]
     for A, cfg in zip(drags, cfgs):
         result = dynamics.run_transient(cfg, n_samples=run["n_samples"])
-        rows = [(s.t, s.x, s.xdot, s.z, s.zdot, s.theta, s.rho, s.Ry, s.Rz)
-                for s in result.samples]
         path = os.path.join(run["out"], "transient_%s_A%g.csv" % (tag, A))
-        write_csv(path, ["t", "x", "xdot", "z", "zdot", "theta", "rho",
-                         "Ry", "Rz"], rows)
+        write_csv(path, dynamics.TrajectorySample._fields, result.samples)
         xs = [s.x for s in result.samples]
         summary = ("transient preset=%s A=%g truncated=%s t_trunc=%s "
                    "zero_crossings=%d max_abs_x=%r max_abs_Ry=%r"

@@ -8,6 +8,7 @@ trajectory sampling with the |x| <= L cutoff.
 
 from dataclasses import dataclass, field
 import math
+from typing import NamedTuple
 
 from . import weber
 from .errors import ConfigError, DomainError
@@ -39,30 +40,37 @@ class VerticalMotion:
                         config.zdot0 * config.k1)
         return cls(C3=c3, C4=c4, omega_bar=om, offset=off)
 
+    def at(self, t: float):
+        """(z, z', z'') at time t."""
+        ph = self.omega_bar * t + self.C4
+        sn = math.sin(ph)
+        return (self.C3 * sn + self.offset,
+                self.C3 * self.omega_bar * math.cos(ph),
+                -self.C3 * self.omega_bar ** 2 * sn)
+
 
 def z_motion(config: PhysicalConfig, t: float):
     """Closed-form vertical position and velocity at time t."""
-    vm = VerticalMotion.from_config(config)
-    ph = vm.omega_bar * t + vm.C4
-    z = vm.C3 * math.sin(ph) + vm.offset
-    zdot = vm.C3 * vm.omega_bar * math.cos(ph)
-    return z, zdot
+    return VerticalMotion.from_config(config).at(t)[:2]
 
 
 def reaction_z(config: PhysicalConfig, t: float) -> float:
     """Vertical constraint reaction R_z = m (g + z'')."""
-    vm = VerticalMotion.from_config(config)
-    ph = vm.omega_bar * t + vm.C4
-    zddot = -vm.C3 * vm.omega_bar * vm.omega_bar * math.sin(ph)
+    return _reaction_z(config, VerticalMotion.from_config(config).at(t)[2])
+
+
+def _reaction_z(config: PhysicalConfig, zddot: float) -> float:
     return config.m * (config.g + zddot)
 
 
 def reaction_y(config: PhysicalConfig, sol: ClosedFormSolution, t: float) -> float:
     """Transverse reaction R_y = 2 m w0 (1 - q t) x' - m w0 q x."""
-    x, xdot = weber.eval_solution(sol, t)
-    w0 = config.omega0
-    return 2.0 * config.m * w0 * (1.0 - config.q * t) * xdot \
-        - config.m * w0 * config.q * x
+    return _reaction_y(config, t, *weber.eval_solution(sol, t))
+
+
+def _reaction_y(config: PhysicalConfig, t, x, xdot) -> float:
+    return 2.0 * config.m * config.omega0 * (1.0 - config.q * t) * xdot \
+        - config.m * config.omega0 * config.q * x
 
 
 def theta_of_t(config: PhysicalConfig, t: float) -> float:
@@ -73,18 +81,16 @@ def theta_of_t(config: PhysicalConfig, t: float) -> float:
 def t_of_theta(config: PhysicalConfig, theta: float) -> float:
     """Inverse of theta(t) on its monotone branch.
 
-    For q > 0 the admissible range is 0 <= theta <= w0 / (2 q); for
-    q = 0 the rotation is uniform.
+    The admissible range is theta >= 0, capped at w0 / (2 q) when q > 0;
+    anything else (NaN included) raises DomainError.
     """
     q, w0 = config.q, config.omega0
+    theta_max = w0 / (2.0 * q) if q > 0.0 else math.inf
+    if not 0.0 <= theta <= theta_max + 1e-12:
+        raise DomainError("theta = %g outside [0, %g]" % (theta, theta_max))
     if q == 0.0:
         return theta / w0
-    radicand = 1.0 - 2.0 * q * theta / w0
-    if q > 0.0 and not 0.0 <= theta <= w0 / (2.0 * q) + 1e-12:
-        raise DomainError("theta = %g outside [0, %g]" % (theta, w0 / (2.0 * q)))
-    if radicand < 0.0:
-        raise DomainError("negative radicand for theta = %g" % theta)
-    return (1.0 - math.sqrt(radicand)) / q
+    return (1.0 - math.sqrt(max(0.0, 1.0 - 2.0 * q * theta / w0))) / q
 
 
 def polar_curve(config: PhysicalConfig, sol: ClosedFormSolution,
@@ -97,20 +103,18 @@ def polar_curve(config: PhysicalConfig, sol: ClosedFormSolution,
 
 @dataclass(frozen=True)
 class TransientPreset:
-    id: str
     q: float
     k2: float
-    drag_set: tuple = DEFAULT_DRAG_SET
 
 
 # V's k2 is chosen so its c stays negative (damped oscillations), the one
 # regime the summary table ascribes to it.
 PRESETS = {
-    "I": TransientPreset("I", q=0.1, k2=10.0),
-    "II": TransientPreset("II", q=0.1, k2=8.0),
-    "III": TransientPreset("III", q=-0.1, k2=30.0),
-    "IV": TransientPreset("IV", q=-0.1, k2=8.0),
-    "V": TransientPreset("V", q=0.0, k2=10.0),
+    "I": TransientPreset(q=0.1, k2=10.0),
+    "II": TransientPreset(q=0.1, k2=8.0),
+    "III": TransientPreset(q=-0.1, k2=30.0),
+    "IV": TransientPreset(q=-0.1, k2=8.0),
+    "V": TransientPreset(q=0.0, k2=10.0),
 }
 
 
@@ -127,8 +131,9 @@ def apply_preset(config: PhysicalConfig, preset_id: str,
     return config.with_overrides(**over)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
+    """One row of a transient run; the fields name the CSV columns."""
+
     t: float
     x: float
     xdot: float
@@ -167,23 +172,16 @@ def run_transient(config: PhysicalConfig,
     t_end = horizon(config)
     dt = t_end / (n_samples - 1)
     samples = []
-    truncated = False
     t_trunc = None
     for i in range(n_samples):
         t = i * dt
         x, xdot = weber.eval_solution(sol, t)
         if abs(x) > config.L:
-            truncated = True
             t_trunc = t
             break
-        ph = vm.omega_bar * t + vm.C4
-        z = vm.C3 * math.sin(ph) + vm.offset
-        zdot = vm.C3 * vm.omega_bar * math.cos(ph)
-        rz = config.m * (config.g - vm.C3 * vm.omega_bar ** 2 * math.sin(ph))
-        ry = 2.0 * config.m * config.omega0 * (1.0 - config.q * t) * xdot \
-            - config.m * config.omega0 * config.q * x
-        samples.append(TrajectorySample(t=t, x=x, xdot=xdot, z=z, zdot=zdot,
-                                        theta=theta_of_t(config, t), rho=x,
-                                        Ry=ry, Rz=rz))
+        z, zdot, zddot = vm.at(t)
+        samples.append(TrajectorySample(
+            t, x, xdot, z, zdot, theta_of_t(config, t), x,
+            _reaction_y(config, t, x, xdot), _reaction_z(config, zddot)))
     return TransientResult(config=config, samples=samples,
-                           truncated=truncated, t_trunc=t_trunc)
+                           truncated=t_trunc is not None, t_trunc=t_trunc)

@@ -176,19 +176,13 @@ def lagrange_coefficients(ps: ParticularSolution, t: float):
     return c1, c2, c1dot, c2dot
 
 
-def _combine(k1, k2, basis):
-    """(k1 x1 + k2 x2, k1 x1' + k2 x2') for basis = (x1, x2, x1', x2')."""
-    x1, x2, x1dot, x2dot = basis
-    return k1 * x1 + k2 * x2, k1 * x1dot + k2 * x2dot
-
-
 def eval_particular(ps: ParticularSolution, t: float):
     """(x_bar, x_bar') at time t."""
     c1, c2 = _integrals(ps, t)
     # the Lagrange constraint c1' x1 + c2' x2 = 0 is imposed analytically:
     # evaluating it from the truncated expansions instead would multiply
     # their tiny pointwise error by the ~1e15 basis magnitude at t = 0
-    return _combine(c1, c2, weber.evaluate_basis(ps.coeffs, t))
+    return weber.combine(c1, c2, weber.evaluate_basis(ps.coeffs, t))
 
 
 @dataclass(frozen=True)
@@ -219,10 +213,10 @@ def eval_forced_parts(fs: ForcedSolution, t: float):
     ps, hom = fs.particular, fs.homogeneous
     c1, c2 = _integrals(ps, t)
     basis = weber.evaluate_basis(ps.coeffs, t)
-    xb, vb = _combine(c1, c2, basis)
+    xb, vb = weber.combine(c1, c2, basis)
     # the homogeneous part shares the basis: the particular solution
     # exists only on the Hermite/Kummer branch (a > 0)
-    xh, vh = _combine(hom.C1, hom.C2, basis)
+    xh, vh = weber.combine(hom.C1, hom.C2, basis)
     return xb + xh, vb + vh, c1, c2, xb
 
 

@@ -23,7 +23,6 @@ import math
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
-    "ln_gamma",
     "reciprocal_gamma",
     "kummer_1f1",
     "kummer_1f1_dz",
@@ -55,13 +54,6 @@ _WIDE = Context(prec=34)
 
 def _is_nonpositive_integer(x):
     return x <= 0.0 and x == math.floor(x)
-
-
-def ln_gamma(x):
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError("ln_gamma requires x > 0, got %g" % x)
-    return math.lgamma(x)
 
 
 def reciprocal_gamma(x):

@@ -3,8 +3,9 @@
 For a > 0 the fundamental pair is built from a Hermite function of real
 order and a Kummer function, both evaluated at arguments linear in t and
 damped by a shared Gaussian-exponential envelope.  The q = 0 case
-(a = b = 0) degenerates to a constant-coefficient oscillator and is
-handled as an exact separate branch, not as a limit.
+(a = b = 0) degenerates to a constant-coefficient oscillator whose exact
+exponential pair (not a limit of the first) is fitted and evaluated
+through the same Wronskian formulas.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -149,9 +150,43 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
     return x1, x2, x1dot, x2dot
 
 
+def _fundamental_pair(coeffs: WeberCoefficients, t: float):
+    """(x1, x2, x1', x2') at time t: ``evaluate_basis`` for a > 0; for
+    a = b = 0, by the sign of A^2 + 4c, e^{r1 t}, e^{r2 t} (overdamped),
+    e^{-At/2} (cos, sin)(w t) (oscillatory) or e^{-At/2} (1, t) (critical).
+    """
+    if coeffs.a > 0.0:
+        return evaluate_basis(coeffs, t)
+    if coeffs.a != 0.0 or coeffs.b != 0.0:
+        raise ConfigError("constant branch requires a = b = 0")
+    A = coeffs.A
+    disc = A * A + 4.0 * coeffs.c
+    if disc > _CRITICAL_TIE:
+        rt = math.sqrt(disc)
+        r1 = 0.5 * (-A + rt)
+        r2 = 0.5 * (-A - rt)
+        e1 = math.exp(r1 * t)
+        e2 = math.exp(r2 * t)
+        return e1, e2, r1 * e1, r2 * e2
+    lam = -0.5 * A
+    e = math.exp(lam * t)
+    if disc < -_CRITICAL_TIE:
+        om = 0.5 * math.sqrt(-disc)
+        cs = e * math.cos(om * t)
+        sn = e * math.sin(om * t)
+        return cs, sn, lam * cs - om * sn, lam * sn + om * cs
+    return e, e * t, lam * e, e * (lam * t + 1.0)
+
+
+def combine(k1, k2, pair):
+    """(k1 x1 + k2 x2, k1 x1' + k2 x2') for pair = (x1, x2, x1', x2')."""
+    x1, x2, x1dot, x2dot = pair
+    return k1 * x1 + k2 * x2, k1 * x1dot + k2 * x2dot
+
+
 def wronskian(coeffs: WeberCoefficients, t: float) -> float:
     """W(t) = x1 x2' - x2 x1'; by Abel's identity W(t) = W(0) e^{-A t}."""
-    x1, x2, x1dot, x2dot = evaluate_basis(coeffs, t)
+    x1, x2, x1dot, x2dot = _fundamental_pair(coeffs, t)
     return x1 * x2dot - x2 * x1dot
 
 
@@ -162,68 +197,25 @@ class ClosedFormSolution:
     coeffs: WeberCoefficients
     C1: float
     C2: float
-    branch: str
+
+    @property
+    def branch(self) -> str:
+        if self.coeffs.a > 0.0:
+            return BRANCH_HERMITE_KUMMER
+        return BRANCH_CONSTANT_Q
 
 
 def solve_ivp(coeffs: WeberCoefficients, x0: float, v0: float) -> ClosedFormSolution:
     """Fit the two free constants to (x(0), x'(0)) = (x0, v0)."""
-    if coeffs.a > 0.0:
-        x1, x2, x1dot, x2dot = evaluate_basis(coeffs, 0.0)
-        w0 = x1 * x2dot - x2 * x1dot
-        if abs(w0) < _W_FLOOR:
-            raise DegenerateBasisError("Wronskian at t=0 is numerically zero")
-        c1 = (x0 * x2dot - v0 * x2) / w0
-        c2 = (v0 * x1 - x0 * x1dot) / w0
-        return ClosedFormSolution(coeffs, c1, c2, BRANCH_HERMITE_KUMMER)
-    if coeffs.a != 0.0 or coeffs.b != 0.0:
-        raise ConfigError("constant branch requires a = b = 0")
-    # x'' + A x' - c x = 0: discriminant of r^2 + A r - c
-    A, c = coeffs.A, coeffs.c
-    disc = A * A + 4.0 * c
-    if disc > _CRITICAL_TIE:
-        rt = math.sqrt(disc)
-        r1 = 0.5 * (-A + rt)
-        r2 = 0.5 * (-A - rt)
-        c1 = (v0 - r2 * x0) / (r1 - r2)
-        c2 = x0 - c1
-    elif disc < -_CRITICAL_TIE:
-        lam = -0.5 * A
-        om = 0.5 * math.sqrt(-disc)
-        c1 = x0
-        c2 = (v0 - lam * x0) / om
-    else:
-        c1 = x0
-        c2 = v0 + 0.5 * A * x0
-    return ClosedFormSolution(coeffs, c1, c2, BRANCH_CONSTANT_Q)
+    x1, x2, x1dot, x2dot = _fundamental_pair(coeffs, 0.0)
+    w0 = x1 * x2dot - x2 * x1dot
+    if abs(w0) < _W_FLOOR:
+        raise DegenerateBasisError("Wronskian at t=0 is numerically zero")
+    c1 = (x0 * x2dot - v0 * x2) / w0
+    c2 = (v0 * x1 - x0 * x1dot) / w0
+    return ClosedFormSolution(coeffs, c1, c2)
 
 
 def eval_solution(sol: ClosedFormSolution, t: float):
     """Evaluate (x, x') of the fitted solution at time t."""
-    if sol.branch == BRANCH_HERMITE_KUMMER:
-        x1, x2, x1dot, x2dot = evaluate_basis(sol.coeffs, t)
-        return (sol.C1 * x1 + sol.C2 * x2,
-                sol.C1 * x1dot + sol.C2 * x2dot)
-    A, c = sol.coeffs.A, sol.coeffs.c
-    disc = A * A + 4.0 * c
-    c1, c2 = sol.C1, sol.C2
-    if disc > _CRITICAL_TIE:
-        rt = math.sqrt(disc)
-        r1 = 0.5 * (-A + rt)
-        r2 = 0.5 * (-A - rt)
-        e1 = math.exp(r1 * t)
-        e2 = math.exp(r2 * t)
-        return c1 * e1 + c2 * e2, c1 * r1 * e1 + c2 * r2 * e2
-    if disc < -_CRITICAL_TIE:
-        lam = -0.5 * A
-        om = 0.5 * math.sqrt(-disc)
-        e = math.exp(lam * t)
-        cs = math.cos(om * t)
-        sn = math.sin(om * t)
-        x = e * (c1 * cs + c2 * sn)
-        xdot = e * (lam * (c1 * cs + c2 * sn) + om * (-c1 * sn + c2 * cs))
-        return x, xdot
-    lam = -0.5 * A
-    e = math.exp(lam * t)
-    x = e * (c1 + c2 * t)
-    xdot = e * (lam * (c1 + c2 * t) + c2)
-    return x, xdot
+    return combine(sol.C1, sol.C2, _fundamental_pair(sol.coeffs, t))

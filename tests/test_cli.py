@@ -247,6 +247,14 @@ def test_polar_requires_theta_max_when_q_not_positive(tmp_path):
                      "--out", str(tmp_path)]) == 0
 
 
+def test_polar_rejects_negative_theta_max(tmp_path, capsys):
+    """theta < 0 lies before the motion starts on every branch of q."""
+    assert cli.main(["polar", "--preset", "III", "--theta-max", "-2",
+                     "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "polar.csv").exists()
+    assert "theta" in capsys.readouterr().err
+
+
 def test_tol_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("WEBEROSC_TOL", "1e-15")
     # an impossible tolerance turns the oracle cross-check into exit 3

@@ -81,6 +81,15 @@ def test_theta_domain():
         dynamics.t_of_theta(cfg, 15.5)
     with pytest.raises(DomainError):
         dynamics.t_of_theta(cfg, -0.5)
+    # the one tolerance past w0/(2q) clamps to t = 1/q instead of raising
+    past = math.nextafter(15.0, math.inf)
+    assert dynamics.t_of_theta(cfg, past) == pytest.approx(10.0, rel=1e-7)
+    # the motion starts at theta = 0 whatever the sign of q; NaN is refused
+    for q in (0.1, 0.0, -0.1):
+        cfg = weber.PhysicalConfig(q=q, omega0=3.0)
+        for theta in (-0.5, -1e-300, math.nan):
+            with pytest.raises(DomainError):
+                dynamics.t_of_theta(cfg, theta)
 
 
 def test_polar_curve_matches_time_path(sample_config, sample_coeffs):

@@ -172,14 +172,6 @@ def test_reciprocal_gamma():
         -0.5 / math.sqrt(math.pi), rel=1e-13)
 
 
-def test_ln_gamma_domain():
-    assert specfun.ln_gamma(4.0) == pytest.approx(math.log(6.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        specfun.ln_gamma(0.0)
-    with pytest.raises(DomainError):
-        specfun.ln_gamma(-2.5)
-
-
 def test_kummer_pole_rejected():
     with pytest.raises(PoleError):
         specfun.kummer_1f1(0.5, 0.0, 1.0)

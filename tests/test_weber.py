@@ -102,11 +102,15 @@ def test_kummer_argument_vanishes_at_turning_point(sample_coeffs):
 
 
 def test_abel_wronskian_identity(sample_coeffs):
-    w0 = weber.wronskian(sample_coeffs, 0.0)
-    for t in np.linspace(0.0, 10.0, 21):
-        expected = w0 * math.exp(-sample_coeffs.A * t)
-        assert weber.wronskian(sample_coeffs, t) == pytest.approx(
-            expected, rel=1e-8)
+    # the q = 0 pair at c = -1: oscillatory, overdamped, critical tie
+    constant = [weber.WeberCoefficients(a=0.0, b=0.0, c=-1.0, A=A, beta=None)
+                for A in (0.0, 3.0, 2.0)]
+    for coeffs in [sample_coeffs] + constant:
+        w0 = weber.wronskian(coeffs, 0.0)
+        for t in np.linspace(0.0, 10.0, 21):
+            expected = w0 * math.exp(-coeffs.A * t)
+            assert weber.wronskian(coeffs, t) == pytest.approx(
+                expected, rel=1e-8)
 
 
 def test_solve_ivp_roundtrip(sample_coeffs):
