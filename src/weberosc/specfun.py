@@ -1,11 +1,14 @@
 """Special functions backing every closed form in the package.
 
-Kummer's 1F1 and the generalized 1F2 are scalar pure-Python series
-defined here; the Hermite functions are Gamma-weighted pairs of 1F1
-series, combined here too.  J0, J1, the J0 zeros and the J0 integral
-(in its Struve form) come from :mod:`scipy.special`, imported on first
-use so that the closed-form transient path never loads numpy or scipy.
-All functions are pure and thread-safe.
+Kummer's 1F1 is a scalar pure-Python series defined here.  A Hermite
+function of argument z < 0 is a Gamma-weighted pair of 1F1 series,
+combined here too; for z >= 0, where that pair cancels completely,
+H_nu comes from an exp-sinh quadrature of its integral representation
+at two orders below -1, recurred upward in the order.  J0, J1, the J0
+zeros and the J0 integral (in its Struve form) come from
+:mod:`scipy.special`, imported on first use so that the closed-form
+transient path never loads numpy or scipy.  All functions are pure and
+thread-safe.
 
 Every series uses Kahan-compensated summation and stops once the term
 magnitude stays below ``_REL_TOL`` times the partial sum for three
@@ -28,7 +31,6 @@ __all__ = [
     "kummer_1f1_dz",
     "hermite_h",
     "hermite_h_dz",
-    "hyp_1f2",
     "bessel_j0",
     "bessel_j1",
     "bessel_j0_zero",
@@ -39,17 +41,41 @@ __all__ = [
 _MAX_TERMS = 500
 _REL_TOL = 1e-14
 
-# Cancellation guard for the 1F2 series: raise instead of returning a sum
-# whose leading digits were all lost to alternating-term cancellation.
-_EPS = 2.220446049250313e-16
-_MAX_CANCEL = 1e-6
-
 # A plain double summation keeps ~eps * (largest term / sum) relative
 # accuracy; beyond this magnitude ratio the 1F1 series is re-summed at
 # 34 significant digits in decimal arithmetic (localcontext works on a
 # copy of _WIDE, so concurrent reruns share no state).
 _WIDE_CANCEL = 1e4
 _WIDE = Context(prec=34)
+
+
+def _exp_sinh_sides():
+    """Nodes x_j = j/20, |x_j| <= 4, of the exp-sinh rule
+    t = c exp((pi/2) sinh x), as (log of the weight h (pi/2) cosh x,
+    y = (pi/2) sinh x, e^y): x >= 0 rising from 0, then x < 0 falling
+    from -1/20, so that each side is marched away from the peak at x = 0.
+    """
+    h = 1.0 / 20.0
+    nodes = []
+    for j in range(81):
+        x = j * h
+        y = 0.5 * math.pi * math.sinh(x)
+        lw = math.log(h * 0.5 * math.pi * math.cosh(x))
+        nodes.append((lw, y, math.exp(y)))
+    left = [(lw, -y, math.exp(-y)) for lw, y, _ in nodes[1:]]
+    return tuple(nodes), tuple(left)
+
+
+_EXP_SINH_SIDES = _exp_sinh_sides()
+
+# a node whose term falls below this fraction of its side's running sum
+# ends that side: past it the integrand decays double-exponentially
+_NODE_CUT = 1e-17
+
+# the integrand's peak in y = ln(t/c) has curvature m + 2c^2; above this
+# value (reached only for nu < -20) the rule is narrowed in y to keep
+# several nodes across the peak
+_PEAK_CURVATURE = 20.0
 
 
 def _is_nonpositive_integer(x):
@@ -179,13 +205,78 @@ def _hermite(nu, z, series):
     return math.sqrt(math.pi) * math.pow(2.0, nu) * (t1 - t2)
 
 
+def _hermite_recessive(nu, u):
+    """(H_nu(u), H_{nu-1}(u)) for u >= 0, with no cancellation.
+
+    H_s(u) = (1/Gamma(m)) int_0^inf e^{-t^2 - 2ut} t^{m-1} dt with m = -s
+    (DLMF 12.5.1 carried over by 12.7) is taken at s = nu - floor(nu) - 2
+    in [-2, -1) and at s - 1, or at nu and nu - 1 when nu < -1, by the
+    exp-sinh rule centred on c = (sqrt(u^2 + 2m) - u)/2, the peak of
+    t^m e^{-t^2 - 2ut}.  The two integrands differ by a factor t, so one
+    exp per node serves both; t^m sits inside that exp.  The pair is
+    then recurred upward, H_{k+1} = 2u H_k - 2k H_{k-1}, which H_nu
+    dominates for u >= 0.  Raises OverflowError when the result leaves
+    the double range.
+    """
+    if nu < -1.0:
+        n = 0
+        s = nu
+    else:
+        n = math.floor(nu) + 2
+        s = nu - n
+    m = -s
+    c = 0.5 * (math.sqrt(u * u + 2.0 * m) - u)
+    cc = c * c
+    cu = 2.0 * c * u
+    peak = cc + cu
+    exp = math.exp
+    cut = _NODE_CUT
+    s0 = s1 = 0.0
+    right, left = _EXP_SINH_SIDES
+    if m + 2.0 * cc > _PEAK_CURVATURE:
+        # t = c exp(r y): the same rule with y and its weight scaled by r
+        r = math.sqrt(_PEAK_CURVATURE / (m + 2.0 * cc))
+        lr = math.log(r)
+        right = [(lw + lr, r * y, exp(r * y)) for lw, y, _ in right]
+        left = [(lw + lr, r * y, exp(r * y)) for lw, y, _ in left]
+    # ln(t^m e^{-t^2 - 2ut}) - ln(c^m e^{-peak}) at t = c e^y is
+    # m y + peak - e^y (c^2 e^y + 2uc); the s - 1 term carries t/c = e^y
+    # more, so it decays last on the right and first on the left
+    for lw, y, e in right:
+        v = exp(lw + m * y + peak - e * (cc * e + cu))
+        s0 += v
+        ve = v * e
+        s1 += ve
+        if ve < cut * s1:
+            break
+    for lw, y, e in left:
+        v = exp(lw + m * y + peak - e * (cc * e + cu))
+        s0 += v
+        s1 += v * e
+        if v < cut * s0:
+            break
+    scale = exp(m * math.log(c) - math.lgamma(m) - peak)
+    h = scale * s0
+    h_prev = scale * c * s1 / m
+    u2 = 2.0 * u
+    for j in range(n):
+        h, h_prev = u2 * h - 2.0 * (s + j) * h_prev, h
+    if not (math.isfinite(h) and math.isfinite(h_prev)):
+        raise OverflowError("H_%g(%g) leaves the double range" % (nu, u))
+    return h, h_prev
+
+
 def hermite_h(nu, z):
     """Hermite function H_nu(z) of arbitrary real order nu."""
+    if z >= 0.0:
+        return _hermite_recessive(nu, z)[0]
     return _hermite(nu, z, _series_in(z * z))
 
 
 def hermite_h_dz(nu, z):
     """d/dz H_nu(z) = 2 nu H_{nu-1}(z)."""
+    if z >= 0.0:
+        return 2.0 * nu * _hermite_recessive(nu, z)[1]
     return 2.0 * nu * _hermite(nu - 1.0, z, _series_in(z * z))
 
 
@@ -194,60 +285,25 @@ def _hermite_kummer(nu, z):
     w = z^2, k = -nu/2: the pair behind the Weber basis.
 
     Each value equals, bit for bit, its own call of ``hermite_h``,
-    ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``, but the
-    four functions share their 1F1 series in w: F(k; 1/2) is the Kummer
-    function and H_nu's first term, F(k + 1; 3/2) feeds the derivative
-    and H_{nu-1}'s second term, so four series are summed instead of six
-    (five for some |nu| < 1/2, where k + 1 and (1 - (nu - 1))/2 round
-    to neighbouring doubles).
+    ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``.  The Kummer
+    function and its derivative need F(k; 1/2) and F(k + 1; 3/2), with
+    F(a; b) = 1F1(a; b; w).  For z >= 0 both Hermite values come from
+    one ``_hermite_recessive`` call, so those two series are all that is
+    summed.  For z < 0 the Hermite pair shares them too: F(k; 1/2) is
+    H_nu's first term and F(k + 1; 3/2) H_{nu-1}'s second, so four
+    series are summed instead of six (five for some |nu| < 1/2, where
+    k + 1 and (1 - (nu - 1))/2 round to neighbouring doubles).
     """
     series = _series_in(z * z)
     k = -0.5 * nu
-    return (_hermite(nu, z, series),
-            2.0 * nu * _hermite(nu - 1.0, z, series),
+    if z >= 0.0:
+        h, h_prev = _hermite_recessive(nu, z)
+    else:
+        h = _hermite(nu, z, series)
+        h_prev = _hermite(nu - 1.0, z, series)
+    return (h, 2.0 * nu * h_prev,
             series(k, 0.5),
             (k / 0.5) * series(k + 1.0, 1.5))
-
-
-def hyp_1f2(a, b1, b2, z):
-    """Generalized hypergeometric 1F2(a; b1, b2; z) for real arguments.
-
-    Entire in z but cancellation-limited: for large negative z the
-    alternating terms grow far beyond the sum before decaying; once the
-    lost digits exceed what double precision can pay for, a
-    ConvergenceError is raised rather than garbage returned (for
-    1F2(1/2; 1, 3/2; -y^2/4) at large y use ``bessel_j0_integral``).
-    """
-    if _is_nonpositive_integer(b1) or _is_nonpositive_integer(b2):
-        raise PoleError("1F2 pole: lower parameter is a non-positive integer")
-    term = 1.0
-    s = 1.0
-    comp = 0.0
-    below = 0
-    max_mag = 1.0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * z / ((b1 + n) * (b2 + n) * (n + 1.0))
-        if abs(term) > max_mag:
-            max_mag = abs(term)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if abs(term) <= _REL_TOL * abs(s):
-            below += 1
-            if below == 3:
-                if _EPS * max_mag > _MAX_CANCEL * abs(s):
-                    raise ConvergenceError(
-                        "1F2 series: cancellation beyond double precision at "
-                        "(a=%g, b1=%g, b2=%g, z=%g)" % (a, b1, b2, z)
-                    )
-                return s
-        else:
-            below = 0
-    raise ConvergenceError(
-        "1F2 series: tolerance %g not met within %d terms at "
-        "(a=%g, b1=%g, b2=%g, z=%g)" % (_REL_TOL, _MAX_TERMS, a, b1, b2, z)
-    )
 
 
 def _float_if_scalar(r):

@@ -23,6 +23,12 @@ _CRITICAL_TIE = 1e-12
 
 _W_FLOOR = 1e-300
 
+# W(0) below this fraction of |x1 x2'| + |x2 x1'| leaves the fitted
+# constants with fewer than ~6 trustworthy digits.  The pair degenerates
+# where nu = beta - 1/2 is an even integer 2n: H_2n(u) is then a multiple
+# of 1F1(-n; 1/2; u^2), so x1 and x2 are proportional.
+_W_REL_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class PhysicalConfig:
@@ -142,25 +148,39 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
         x2 = env * f
         x2dot = denv * f + env * df * dw
     except OverflowError as exc:
-        raise OverflowRangeError("basis evaluation overflowed at t = %g" % t,
-                                 t=t) from exc
-    if not all(map(math.isfinite, (x1, x2, x1dot, x2dot))):
-        raise OverflowRangeError("basis evaluation overflowed at t = %g" % t,
-                                 t=t)
-    return x1, x2, x1dot, x2dot
+        raise _overflow(t) from exc
+    return _finite((x1, x2, x1dot, x2dot), t)
+
+
+def _overflow(t):
+    return OverflowRangeError("basis evaluation overflowed at t = %g" % t,
+                              t=t)
+
+
+def _finite(pair, t):
+    if not all(map(math.isfinite, pair)):
+        raise _overflow(t)
+    return pair
 
 
 def _fundamental_pair(coeffs: WeberCoefficients, t: float):
     """(x1, x2, x1', x2') at time t: ``evaluate_basis`` for a > 0; for
     a = b = 0, by the sign of A^2 + 4c, e^{r1 t}, e^{r2 t} (overdamped),
     e^{-At/2} (cos, sin)(w t) (oscillatory) or e^{-At/2} (1, t) (critical).
+    A value outside the double range raises ``OverflowRangeError``.
     """
     if coeffs.a > 0.0:
         return evaluate_basis(coeffs, t)
     if coeffs.a != 0.0 or coeffs.b != 0.0:
         raise ConfigError("constant branch requires a = b = 0")
-    A = coeffs.A
-    disc = A * A + 4.0 * coeffs.c
+    try:
+        return _finite(_constant_pair(coeffs.A, coeffs.c, t), t)
+    except OverflowError as exc:
+        raise _overflow(t) from exc
+
+
+def _constant_pair(A, c, t):
+    disc = A * A + 4.0 * c
     if disc > _CRITICAL_TIE:
         rt = math.sqrt(disc)
         r1 = 0.5 * (-A + rt)
@@ -209,8 +229,11 @@ def solve_ivp(coeffs: WeberCoefficients, x0: float, v0: float) -> ClosedFormSolu
     """Fit the two free constants to (x(0), x'(0)) = (x0, v0)."""
     x1, x2, x1dot, x2dot = _fundamental_pair(coeffs, 0.0)
     w0 = x1 * x2dot - x2 * x1dot
-    if abs(w0) < _W_FLOOR:
-        raise DegenerateBasisError("Wronskian at t=0 is numerically zero")
+    terms = abs(x1 * x2dot) + abs(x2 * x1dot)
+    if abs(w0) < _W_FLOOR or abs(w0) < _W_REL_FLOOR * terms:
+        raise DegenerateBasisError(
+            "Wronskian at t=0 is numerically zero: %g against terms "
+            "summing to %g" % (w0, terms))
     c1 = (x0 * x2dot - v0 * x2) / w0
     c2 = (v0 * x1 - x0 * x1dot) / w0
     return ClosedFormSolution(coeffs, c1, c2)

@@ -223,11 +223,33 @@ def test_forced_rejects_constant_branch(tmp_path):
 
 
 def test_forced_numeric_failure_exit_code(tmp_path):
-    """The Wronskian of preset IV at A = 0.5 loses all accuracy past t ~ 6,
-    so the Lagrange integrands cannot be fitted: a typed numeric failure
-    (exit 3), not a crash."""
+    """Preset IV at A = 0.5 out to t_end = 25 needs a Kummer series of
+    more than 500 terms while searching for t_bar: a typed numeric
+    failure (exit 3), not a crash."""
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"t_end": 25.0}))
     assert cli.main(["forced", "--preset", "IV", "--mu", "1", "--drag", "0.5",
-                     "--terms", "20", "--out", str(tmp_path)]) == 3
+                     "--terms", "20", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 3
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_forced_root_failure_exit_code(tmp_path):
+    """On preset IV at A = 0.5 neither Lagrange integrand changes sign in
+    (10, 15], so no t_bar exists there: exit 4."""
+    assert cli.main(["forced", "--preset", "IV", "--mu", "1", "--drag", "0.5",
+                     "--terms", "20", "--out", str(tmp_path)]) == 4
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_constant_branch_overflow_exit_code(tmp_path):
+    """q = 0 with a growing exponential past the double range: a typed
+    numeric failure (exit 3) and no CSV, not an OverflowError crash."""
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"q": 0.0, "k2": 1.0, "t_end": 10000.0}))
+    assert cli.main(["transient", "--config", str(cfg), "--drag", "0.5",
+                     "--samples", "11", "--out", str(tmp_path)]) == 3
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_polar_default_range(tmp_path, capsys):

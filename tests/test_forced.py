@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -159,8 +160,8 @@ def test_single_term_integral_identity():
         assert forced.integrate_expansion(exp, t) == pytest.approx(
             direct, rel=1e-10)
         # and equals the 1F2 form it stands for
-        hyp = t * specfun.hyp_1f2(0.5, 1.0, 1.5,
-                                  -a1 * a1 * t * t / (4.0 * tb * tb))
+        hyp = t * float(mpmath.hyp1f2(0.5, 1.0, 1.5,
+                                      -a1 * a1 * t * t / (4.0 * tb * tb)))
         assert forced.integrate_expansion(exp, t) == pytest.approx(
             hyp, rel=1e-10)
 

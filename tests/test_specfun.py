@@ -46,13 +46,19 @@ HERMITE_REFS = [
     ((-0.5, 1.0), 0.6316428995634992),
     ((3.3, -2.1), -36.14981071875703),
     ((7.0, 1.234), 952.614635901623),
+    # z >= 0 and high order: the recessive branch, where the 1F1 pair
+    # cancels completely (the first is preset III at A = 0.5, t = 10)
+    ((49.3958, 13.6931), 2.4851233224740252e+69),
+    ((16.25, 8.0), 1.2195683848397867e+19),
+    ((3.25, 6.0), 3053.0259259582804),
+    ((7.5, 20.0), 1004886709517.9403),
+    ((30.7, 25.0), 9.9114136697703e+51),
+    ((-0.5, 18.0), 0.16657053959123477),
+    ((-4.5, 5.0), 2.5307058290217234e-05),
 ]
 
-HYP1F2_REFS = [
-    (-0.25, 0.9197304100897602),
-    (-9.0, 0.11770353725839221),
-    (-36.0, 0.06451018248080616),
-    (-100.0, 0.05291894107105639),
+HERMITE_DZ_REFS = [
+    ((49.3958, 13.6931), 1.056420670279084e+70),
 ]
 
 BESSEL_REFS = [
@@ -113,10 +119,9 @@ def test_hermite_reference_values(args, expected):
     assert specfun.hermite_h(*args) == pytest.approx(expected, rel=5e-12)
 
 
-@pytest.mark.parametrize("z,expected", HYP1F2_REFS)
-def test_hyp_1f2_reference_values(z, expected):
-    # the alternating series loses ~e^{2 sqrt|z|} * eps absolute accuracy
-    assert specfun.hyp_1f2(0.5, 1.0, 1.5, z) == pytest.approx(expected, rel=1e-8)
+@pytest.mark.parametrize("args,expected", HERMITE_DZ_REFS)
+def test_hermite_dz_reference_values(args, expected):
+    assert specfun.hermite_h_dz(*args) == pytest.approx(expected, rel=5e-12)
 
 
 @pytest.mark.parametrize("z,j0_ref,j1_ref", BESSEL_REFS)
@@ -139,7 +144,6 @@ def test_j0_integral_reference_values(x, expected):
 
 def test_series_at_origin():
     assert specfun.kummer_1f1(0.7, 1.3, 0.0) == 1.0
-    assert specfun.hyp_1f2(0.7, 1.3, 2.1, 0.0) == 1.0
     assert specfun.bessel_j0(0.0) == 1.0
     assert specfun.bessel_j1(0.0) == 0.0
     assert specfun.bessel_j0_integral(0.0) == 0.0
@@ -177,15 +181,6 @@ def test_kummer_pole_rejected():
         specfun.kummer_1f1(0.5, 0.0, 1.0)
     with pytest.raises(PoleError):
         specfun.kummer_1f1_dz(0.5, -3.0, 1.0)
-    with pytest.raises(PoleError):
-        specfun.hyp_1f2(0.5, -1.0, 1.5, 1.0)
-
-
-def test_hyp_1f2_cancellation_guard():
-    # the alternating series needs ~e^{2 sqrt|z|} intermediate magnitude;
-    # far beyond double precision it must refuse, not return noise
-    with pytest.raises(ConvergenceError):
-        specfun.hyp_1f2(0.5, 1.0, 1.5, -250000.0)
 
 
 def test_series_term_budget_exhausted():
@@ -287,6 +282,24 @@ def test_kummer_1f1_wide_rerun_against_mpmath(a, b, z):
     with mpmath.workdps(40):
         ref = mpmath.hyp1f1(a, b, z)
         assert float(abs((y - ref) / ref)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(-60.0, 60.0), u=st.floats(0.0, 26.0))
+def test_hermite_recessive_against_mpmath(nu, u):
+    """For u >= 0 the pair (H_nu, H_{nu-1}) is within 1e-13 of mpmath at
+    40 digits, measured against the pair's size sqrt(H_nu^2 + 2|nu|
+    H_{nu-1}^2) so that a zero of H_nu does not count as a failure."""
+    h, h_prev = specfun._hermite_recessive(nu, u)
+    with mpmath.workdps(40):
+        ref = mpmath.hermite(nu, u)
+        ref_prev = mpmath.hermite(nu - 1.0, u)
+        size = mpmath.sqrt(ref ** 2 + 2.0 * abs(nu) * ref_prev ** 2)
+        assert float(abs(h - ref) / size) <= 1e-13
+        assert float(abs(h_prev - ref_prev) * math.sqrt(2.0 * abs(nu))
+                     / size) <= 1e-13
+    assert specfun.hermite_h(nu, u) == h
+    assert specfun.hermite_h_dz(nu, u) == 2.0 * nu * h_prev
 
 
 @settings(max_examples=40, deadline=None)

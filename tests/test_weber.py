@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weberosc import oracle, specfun, weber
-from weberosc.errors import ConfigError, OverflowRangeError
+from weberosc import dynamics, oracle, specfun, weber
+from weberosc.errors import (ConfigError, DegenerateBasisError,
+                             OverflowRangeError, WeberOscError)
 
 
 def _ode_residual(coeffs, x, xdot, xddot, t):
@@ -101,6 +103,13 @@ def test_kummer_argument_vanishes_at_turning_point(sample_coeffs):
     assert x2 == pytest.approx(env, rel=1e-12)
 
 
+def _abel_drift(coeffs, t_end, n):
+    """max |W(t) e^{At} / W(0) - 1| over n points of [0, t_end]."""
+    w0 = weber.wronskian(coeffs, 0.0)
+    return max(abs(weber.wronskian(coeffs, t) * math.exp(coeffs.A * t) / w0
+                   - 1.0) for t in np.linspace(0.0, t_end, n).tolist())
+
+
 def test_abel_wronskian_identity(sample_coeffs):
     # the q = 0 pair at c = -1: oscillatory, overdamped, critical tie
     constant = [weber.WeberCoefficients(a=0.0, b=0.0, c=-1.0, A=A, beta=None)
@@ -111,6 +120,69 @@ def test_abel_wronskian_identity(sample_coeffs):
             expected = w0 * math.exp(-coeffs.A * t)
             assert weber.wronskian(coeffs, t) == pytest.approx(
                 expected, rel=1e-8)
+    # u >= 0 throughout (q < 0), where x1 is the recessive Hermite branch
+    iv = weber.map_params(dynamics.apply_preset(
+        weber.PhysicalConfig(), "IV", A=0.5))
+    assert _abel_drift(iv, 10.0, 21) <= 1e-10
+    iii = weber.map_params(dynamics.apply_preset(
+        weber.PhysicalConfig(t_end=15.0), "III", A=0.5))
+    assert _abel_drift(iii, 15.0, 31) <= 1e-10
+
+
+def _wronskian_terms(coeffs, t):
+    """(W(t), |x1 x2'| + |x2 x1'|): the Wronskian and the size of its
+    two terms, whose ratio is the cancellation W suffers at t."""
+    x1, x2, x1dot, x2dot = weber._fundamental_pair(coeffs, t)
+    return x1 * x2dot - x2 * x1dot, abs(x1 * x2dot) + abs(x2 * x1dot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.one_of(st.just(0.0), st.floats(0.08, 0.12),
+                   st.floats(-0.12, -0.08)),
+       k2=st.floats(6.0, 32.0), A=st.floats(0.0, 3.0),
+       t_end=st.floats(5.0, 25.0))
+def test_abel_drift_near_presets(q, k2, A, t_end):
+    """Around presets I-V, out to t_end = 25, the fitted basis keeps
+    Abel's identity W(t) e^{At} = W(0) on 26 points of the horizon, or
+    raises a typed error; it never drifts silently.
+
+    The identity is held to 1e-10 of the size of the Wronskian's terms
+    rather than of W(0).  Near an even integer nu the pair is nearly
+    proportional, and on q > 0 arms with strong drag both members are
+    dominant at t = 0; there W cancels by 1e2 to 1e6 even when each
+    basis value is right to 1e-15 (1e-12 for the float-summed 1F1).
+    """
+    cfg = weber.PhysicalConfig(q=q, k2=k2, A=A, t_end=t_end)
+    coeffs = weber.map_params(cfg)
+    try:
+        weber.solve_ivp(coeffs, cfg.x0, cfg.v0)
+        w0, size0 = _wronskian_terms(coeffs, 0.0)
+        for t in np.linspace(0.0, dynamics.horizon(cfg), 26).tolist():
+            w, size = _wronskian_terms(coeffs, t)
+            grow = math.exp(A * t)
+            assert abs(w * grow - w0) <= 1e-10 * (size * grow + size0)
+    except WeberOscError:
+        pass
+
+
+def test_nearly_dependent_pair_is_refused():
+    """At q = 0.08, k2 = 6, A = 0, nu = 12 up to rounding: H_12 is a
+    multiple of 1F1(-6; 1/2; u^2), W(0) is 1e-12 of its terms, and a
+    fit would be off by 4e-2.  solve_ivp refuses it instead."""
+    coeffs = weber.map_params(weber.PhysicalConfig(q=0.08, k2=6.0, A=0.0))
+    assert coeffs.beta - 0.5 == pytest.approx(12.0, abs=1e-14)
+    with pytest.raises(DegenerateBasisError):
+        weber.solve_ivp(coeffs, 0.0, 1.0)
+
+
+def test_constant_branch_overflow_is_typed():
+    """q = 0: e^{r1 t} past the double range raises OverflowRangeError
+    with the time, not a bare OverflowError."""
+    cfg = weber.PhysicalConfig(q=0.0, k2=1.0, A=0.5, t_end=10000.0)
+    sol = weber.solve_ivp(weber.map_params(cfg), cfg.x0, cfg.v0)
+    with pytest.raises(OverflowRangeError) as exc:
+        weber.eval_solution(sol, 1000.0)
+    assert exc.value.t == 1000.0
 
 
 def test_solve_ivp_roundtrip(sample_coeffs):
@@ -284,7 +356,9 @@ def test_basis_is_composition_of_public_functions(coeffs, t_end):
 
 
 def test_basis_point_sums_four_series(monkeypatch):
-    """x1, x2 and their derivatives need four distinct 1F1 series."""
+    """x1, x2 and their derivatives need four distinct 1F1 series where
+    u < 0 (presets I and II); where u >= 0 (presets III and IV) x1 comes
+    from the recessive Hermite branch and only x2's two series remain."""
     sums = []
     kernel = specfun._hyp1f1
 
@@ -293,12 +367,12 @@ def test_basis_point_sums_four_series(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(specfun, "_hyp1f1", counting)
-    for preset_id in ("I", "II", "III", "IV"):
+    for preset_id, count in (("I", 4), ("II", 4), ("III", 2), ("IV", 2)):
         coeffs, t_end = _preset_coeffs(preset_id, 0.5)
         for t in (0.0, 0.5 * t_end):
             sums.clear()
             weber.evaluate_basis(coeffs, t)
-            assert len(sums) == 4
+            assert len(sums) == count
     sums.clear()
     weber.evaluate_basis(_ROUNDING_APART, 3.0)
     assert len(sums) == 5
