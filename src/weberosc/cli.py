@@ -26,25 +26,14 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_ROOT = 4
 
-DEFAULT_TOL = 1e-6
+DEFAULT_TOL = 1e-6  # --oracle gate on the relative error against RK45
 
 _PHYSICAL_KEYS = frozenset(weber.PhysicalConfig.__dataclass_fields__)
-_RUN_KEYS = frozenset({"preset", "drag", "n_samples", "out", "oracle",
-                       "n_terms"})
 
 
-def _comparison_tol() -> float:
-    raw = os.environ.get("WEBEROSC_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError("WEBEROSC_TOL is not a number: %r" % raw) from None
-
-
-def load_config(path: str) -> dict:
-    """Flat JSON dict of PhysicalConfig/run keys; unknown keys rejected."""
+def load_config(path: str) -> weber.PhysicalConfig:
+    """Flat JSON object of PhysicalConfig fields, each a finite JSON
+    number; unknown keys and other values are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -52,11 +41,16 @@ def load_config(path: str) -> dict:
             raise ConfigError("config %s: %s" % (path, exc)) from None
     if not isinstance(data, dict):
         raise ConfigError("config %s: expected a flat JSON object" % path)
-    unknown = set(data) - _PHYSICAL_KEYS - _RUN_KEYS
+    unknown = set(data) - _PHYSICAL_KEYS
     if unknown:
         raise ConfigError("config %s: unknown keys %s"
                           % (path, sorted(unknown)))
-    return data
+    for key, v in data.items():
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or abs(v) > sys.float_info.max):
+            raise ConfigError("config %s: %s must be a finite number, got %r"
+                              % (path, key, v))
+    return weber.PhysicalConfig(**data)
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -79,50 +73,27 @@ def write_csv(path: str, header, rows) -> None:
         raise
 
 
-def _build_config(args) -> tuple:
-    """Merge defaults <- config file <- CLI flags; returns (config, run)."""
-    file_vals = load_config(args.config) if args.config else {}
-    phys = {k: v for k, v in file_vals.items() if k in _PHYSICAL_KEYS}
-    run = {k: v for k, v in file_vals.items() if k in _RUN_KEYS}
-    if not isinstance(run.get("oracle", False), bool):
-        raise ConfigError("oracle must be true or false, got %r"
-                          % (run["oracle"],))
-    for key in ("n_samples", "n_terms"):
-        v = run.get(key)
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
-            raise ConfigError("%s must be an integer, got %r" % (key, v))
-    config = weber.PhysicalConfig(**phys)
-    preset = args.preset if args.preset is not None else run.get("preset")
-    if preset is not None:
-        config = dynamics.apply_preset(config, preset)
-    if getattr(args, "mu", None) is not None:
-        config = config.with_overrides(mu=args.mu)
-    run_out = {
-        "preset": preset,
-        "drag": args.drag if args.drag is not None else run.get("drag"),
-        "n_samples": args.samples if args.samples is not None
-        else run.get("n_samples", dynamics.DEFAULT_N_SAMPLES),
-        "out": args.out if args.out is not None else run.get("out", "."),
-        "oracle": bool(args.oracle or run.get("oracle", False)),
-        "n_terms": args.terms if args.terms is not None
-        else run.get("n_terms"),
-    }
-    if run_out["n_samples"] < 2:
-        raise ConfigError("n_samples must be >= 2, got %r"
-                          % (run_out["n_samples"],))
-    config.validate()
-    return config, run_out
+def _build_config(args) -> weber.PhysicalConfig:
+    """Defaults <- config file <- --preset; checks --samples."""
+    config = (load_config(args.config) if args.config
+              else weber.PhysicalConfig())
+    if args.preset is not None:
+        config = dynamics.apply_preset(config, args.preset)
+    if args.samples < 2:
+        raise ConfigError("n_samples must be >= 2, got %r" % (args.samples,))
+    return config.validate()
 
 
-def _parse_drag(raw) -> tuple:
-    if raw is None:
-        return dynamics.DEFAULT_DRAG_SET
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
+def _parse_drag(raw: str) -> tuple:
+    """A values of a --drag list; each must name its own %g CSV file."""
     try:
-        return tuple(float(v) for v in str(raw).split(","))
+        drags = tuple(float(v) for v in raw.split(","))
     except ValueError:
         raise ConfigError("bad drag list %r" % raw) from None
+    if len({"%g" % A for A in drags}) < len(drags):
+        raise ConfigError("drag list %r repeats an A at %%g precision, "
+                          "so one CSV would overwrite another" % raw)
+    return drags
 
 
 def _zero_crossings(values) -> int:
@@ -138,16 +109,16 @@ def _zero_crossings(values) -> int:
 
 
 def cmd_transient(args) -> int:
-    config, run = _build_config(args)
-    drags = _parse_drag(run["drag"])
-    tol = _comparison_tol()
-    tag = run["preset"] or "custom"
+    config = _build_config(args)
+    drags = (_parse_drag(args.drag) if args.drag is not None
+             else dynamics.DEFAULT_DRAG_SET)
+    tag = args.preset or "custom"
     status = EXIT_OK
     # every drag is validated before the first CSV is written
     cfgs = [config.with_overrides(A=A) for A in drags]
     for A, cfg in zip(drags, cfgs):
-        result = dynamics.run_transient(cfg, n_samples=run["n_samples"])
-        path = os.path.join(run["out"], "transient_%s_A%g.csv" % (tag, A))
+        result = dynamics.run_transient(cfg, n_samples=args.samples)
+        path = os.path.join(args.out, "transient_%s_A%g.csv" % (tag, A))
         write_csv(path, dynamics.TrajectorySample._fields, result.samples)
         xs = [s.x for s in result.samples]
         summary = ("transient preset=%s A=%g truncated=%s t_trunc=%s "
@@ -157,7 +128,7 @@ def cmd_transient(args) -> int:
                       _zero_crossings(xs),
                       max((abs(v) for v in xs), default=0.0),
                       max((abs(s.Ry) for s in result.samples), default=0.0)))
-        if run["oracle"]:
+        if args.oracle:
             from . import oracle
             coeffs = weber.map_params(cfg)
             sol = weber.solve_ivp(coeffs, cfg.x0, cfg.v0)
@@ -168,34 +139,35 @@ def cmd_transient(args) -> int:
             rep = oracle.compare(
                 num.grid, lambda t: weber.eval_solution(sol, t), num)
             summary += " max_rel_err=%r" % rep.max_rel_err
-            if rep.max_rel_err > tol:
+            if rep.max_rel_err > DEFAULT_TOL:
                 status = EXIT_NUMERIC
         print(summary)
     return status
 
 
 def cmd_forced(args) -> int:
-    base, run = _build_config(args)
+    base = _build_config(args)
+    if args.mu is not None:
+        base = base.with_overrides(mu=args.mu)
     if base.q == 0.0:
         raise ConfigError("forced requires q != 0 (hermite/kummer branch)")
-    drags = _parse_drag(run["drag"]) if run["drag"] is not None else (base.A,)
+    drags = _parse_drag(args.drag) if args.drag is not None else (base.A,)
     for cfg in [base.with_overrides(A=A) for A in drags]:
-        _run_forced(cfg, run)
+        _run_forced(cfg, args)
     return EXIT_OK
 
 
-def _run_forced(config, run) -> None:
+def _run_forced(config, args) -> None:
     from . import forced
-    n_terms = run["n_terms"]
     horizon = dynamics.horizon(config)
-    fs = forced.solve_forced_ivp(config, n_terms=n_terms)
+    fs = forced.solve_forced_ivp(config, n_terms=args.terms)
     ps = fs.particular
-    n = run["n_samples"]
+    n = args.samples
     rows = []
     for i in range(n):
         t = horizon * i / (n - 1)
         rows.append((t,) + forced.eval_forced_parts(fs, t))
-    path = os.path.join(run["out"], "forced_A%g.csv" % config.A)
+    path = os.path.join(args.out, "forced_A%g.csv" % config.A)
     write_csv(path, ["t", "x", "xdot", "c1", "c2", "x_particular"], rows)
 
     xdots = [row[2] for row in rows if row[0] > 1.0]
@@ -206,7 +178,7 @@ def _run_forced(config, run) -> None:
 
 
 def cmd_polar(args) -> int:
-    config, run = _build_config(args)
+    config = _build_config(args)
     if args.theta_max is not None:
         theta_max = args.theta_max
     elif config.q > 0.0:
@@ -215,24 +187,23 @@ def cmd_polar(args) -> int:
         raise ConfigError("polar requires q > 0 or an explicit --theta-max")
     coeffs = weber.map_params(config)
     sol = weber.solve_ivp(coeffs, config.x0, config.v0)
-    n = run["n_samples"]
+    n = args.samples
     rows = []
     for i in range(n):
         theta = theta_max * i / (n - 1)
         rows.append((theta, dynamics.polar_curve(config, sol, theta)))
-    path = os.path.join(run["out"], "polar.csv")
+    path = os.path.join(args.out, "polar.csv")
     write_csv(path, ["theta", "rho"], rows)
     print("polar preset=%s theta_max=%r samples=%d"
-          % (run["preset"] or "custom", theta_max, n))
+          % (args.preset or "custom", theta_max, n))
     return EXIT_OK
 
 
 def cmd_zeros(args) -> int:
     from . import specfun
-    if args.count < 1:
-        raise ConfigError("zeros: count must be >= 1")
+    zeros = specfun.bessel_j0_zeros(args.count).tolist()
     print("k,alpha_k,J0(alpha_k)")
-    for k, ak in enumerate(specfun.bessel_j0_zeros(args.count).tolist(), 1):
+    for k, ak in enumerate(zeros, 1):
         print("%d,%r,%r" % (k, ak, specfun.bessel_j0(ak)))
     return EXIT_OK
 
@@ -245,29 +216,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "Bessel zero tables.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--preset", choices=sorted(dynamics.PRESETS),
-                        help="named transient preset")
-        sp.add_argument("--drag", help="comma-separated list of A values")
-        sp.add_argument("--mu", type=float, help="dry-friction acceleration")
-        sp.add_argument("--samples", type=int, help="grid sample count")
-        sp.add_argument("--terms", type=int,
-                        help="Fourier-Bessel expansion length")
-        sp.add_argument("--oracle", action="store_true",
-                        help="cross-check against the numerical integrator")
-        sp.add_argument("--config", help="flat JSON config file")
-        sp.add_argument("--out", help="output directory (default .)")
+    # the inputs of every command that computes on a PhysicalConfig
+    arm = argparse.ArgumentParser(add_help=False)
+    arm.add_argument("--preset", choices=sorted(dynamics.PRESETS),
+                     help="named transient preset (sets q and k2)")
+    arm.add_argument("--samples", type=int,
+                     default=dynamics.DEFAULT_N_SAMPLES,
+                     help="grid sample count, >= 2 (default %(default)s)")
+    arm.add_argument("--config", help="flat JSON file of PhysicalConfig "
+                                      "fields")
+    arm.add_argument("--out", default=".",
+                     help="output directory (default %(default)s)")
 
-    sp = sub.add_parser("transient", help="homogeneous transients I..V")
-    common(sp)
+    sp = sub.add_parser("transient", parents=[arm],
+                        help="homogeneous transients I..V")
+    sp.add_argument("--drag", help="comma-separated list of A values "
+                    "(default 0.2,0.5,1,2)")
+    sp.add_argument("--oracle", action="store_true",
+                    help="cross-check against the numerical integrator")
     sp.set_defaults(fn=cmd_transient)
 
-    sp = sub.add_parser("forced", help="dry-friction forced case")
-    common(sp)
+    sp = sub.add_parser("forced", parents=[arm],
+                        help="dry-friction forced case")
+    sp.add_argument("--drag", help="comma-separated list of A values "
+                    "(default the config's A)")
+    sp.add_argument("--mu", type=float, help="dry-friction acceleration")
+    sp.add_argument("--terms", type=int,
+                    help="Fourier-Bessel expansion length")
     sp.set_defaults(fn=cmd_forced)
 
-    sp = sub.add_parser("polar", help="polar trajectory rho(theta)")
-    common(sp)
+    sp = sub.add_parser("polar", parents=[arm],
+                        help="polar trajectory rho(theta)")
     sp.add_argument("--theta-max", type=float,
                     help="angle range end (required when q <= 0)")
     sp.set_defaults(fn=cmd_polar)

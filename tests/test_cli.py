@@ -31,6 +31,12 @@ def test_zeros_rejects_bad_count():
     assert cli.main(["zeros", "--count", "0"]) == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_zeros_refused_count_prints_nothing(capsys, count):
+    assert cli.main(["zeros", "--count", count]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_transient_csv_roundtrip(tmp_path, capsys):
     rc = cli.main(["transient", "--preset", "I", "--drag", "0.5",
                    "--samples", "41", "--out", str(tmp_path)])
@@ -72,12 +78,18 @@ def test_transient_bad_drag(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-def test_config_file_merge(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"preset": "I", "drag": [0.5],
-                               "n_samples": 11, "out": str(tmp_path)}))
-    assert cli.main(["transient", "--config", str(cfg)]) == 0
-    assert (tmp_path / "transient_I_A0.5.csv").exists()
+def test_config_file_merge(tmp_path):
+    """A config file sets the physics; --preset then sets q and k2 and
+    --drag sets A over it."""
+    cfg = tmp_path / "arm.json"
+    cfg.write_text(json.dumps({"omega0": 2.5, "k2": 99.0, "A": 3.0}))
+    assert cli.main(["transient", "--config", str(cfg), "--preset", "I",
+                     "--drag", "0.5", "--samples", "11",
+                     "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "transient_I_A0.5.csv")
+    ref = dynamics.apply_preset(weber.PhysicalConfig(omega0=2.5), "I", A=0.5)
+    res = dynamics.run_transient(ref, n_samples=11)
+    assert [float(row[1]) for row in rows] == [s.x for s in res.samples]
 
 
 def test_config_unknown_key(tmp_path):
@@ -98,16 +110,74 @@ def test_config_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [
-    {"oracle": "false"}, {"oracle": 0}, {"n_terms": 7.9},
-    {"n_terms": True}, {"n_samples": 11.0}, {"n_samples": "11"},
+    {"preset": "I"}, {"drag": [0.5]}, {"n_samples": 11}, {"out": "."},
+    {"oracle": False}, {"n_terms": 7},
 ])
 def test_config_run_key_types(tmp_path, bad):
-    """oracle must be a JSON bool, n_samples/n_terms JSON integers."""
+    """A config file holds PhysicalConfig fields only: run keys are
+    unknown keys (exit 2, no CSV); run values come from flags."""
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(dict(bad, preset="I")))
-    for command in ("transient", "forced"):
+    cfg.write_text(json.dumps(bad))
+    for command in ("transient", "forced", "polar"):
         assert cli.main([command, "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("bad, flags", [
+    ({"k2": "10"}, ["--preset", "V"]),
+    ({"A": True}, []),
+    ({"q": None}, ["--preset", "I"]),
+    ({"omega0": 10 ** 400}, []),
+])
+def test_config_values_must_be_numbers(tmp_path, bad, flags):
+    """A string, bool, null or out-of-range integer in a config file is
+    refused by name, even when a flag would replace it."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    key = next(iter(bad))
+    with pytest.raises(ConfigError, match=key):
+        cli.load_config(str(cfg))
+    assert cli.main(["transient", "--config", str(cfg), "--drag", "0.5",
+                     "--samples", "11", "--out", str(tmp_path)] + flags) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+_READS = {
+    "transient": ["--preset", "--drag", "--samples", "--oracle", "--config",
+                  "--out"],
+    "forced": ["--preset", "--drag", "--mu", "--samples", "--terms",
+               "--config", "--out"],
+    "polar": ["--preset", "--samples", "--theta-max", "--config", "--out"],
+    "zeros": ["--count"],
+}
+_FLAG_ARGS = {
+    "--preset": ["I"], "--drag": ["0.5"], "--mu": ["3"], "--samples": ["3"],
+    "--terms": ["7"], "--oracle": [], "--config": ["arm.json"],
+    "--out": ["."], "--theta-max": ["1"], "--count": ["5"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in sorted(_READS)
+    for flag in sorted(_FLAG_ARGS) if flag not in _READS[command]])
+def test_unread_flag_is_usage_error(tmp_path, monkeypatch, command, flag):
+    """A flag its command would not read is refused by argparse (exit 2)
+    before anything runs: polar --drag 0.5 cannot pass for a damped
+    curve."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag] + _FLAG_ARGS[flag])
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["transient", "forced"])
+def test_drag_list_with_colliding_file_names(tmp_path, command):
+    """0.2 and 0.2000001 both print as A0.2: the list is refused before
+    the first CSV is written, instead of one run overwriting the other."""
+    assert cli.main([command, "--preset", "I", "--drag", "0.2,0.2000001",
+                     "--samples", "11", "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -122,22 +192,20 @@ def test_non_finite_input_is_config_error(tmp_path, value):
                     + out) == 2
     assert cli.main(["forced", "--preset", "I", "--mu=%r" % value] + out) == 2
     # a bad drag later in the list is refused before any CSV is written
-    for command in ("transient", "forced"):
-        assert cli.main([command, "--preset", "I", "--mu", "1",
-                         "--drag=0.5,%r" % value] + out) == 2
+    for argv in (["transient"], ["forced", "--mu", "1"]):
+        assert cli.main(argv + ["--preset", "I",
+                                "--drag=0.5,%r" % value] + out) == 2
     assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["forced", "polar", "transient"])
 @pytest.mark.parametrize("samples", [0, 1])
 def test_too_few_samples_is_config_error(tmp_path, command, samples):
-    """A grid needs both ends: fewer than 2 samples is exit 2, from the
-    flag or from a config file, and no CSV is written."""
-    base = [command, "--preset", "I", "--mu", "1", "--out", str(tmp_path)]
-    assert cli.main(base + ["--samples", str(samples)]) == 2
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"n_samples": samples}))
-    assert cli.main(base + ["--config", str(cfg)]) == 2
+    """A grid needs both ends: fewer than 2 samples is exit 2, and no CSV
+    is written."""
+    mu = ["--mu", "1"] if command == "forced" else []
+    assert cli.main([command, "--preset", "I", "--samples", str(samples),
+                     "--out", str(tmp_path)] + mu) == 2
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -278,12 +346,8 @@ def test_polar_rejects_negative_theta_max(tmp_path, capsys):
 
 
 def test_tol_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("WEBEROSC_TOL", "1e-15")
+    monkeypatch.setattr(cli, "DEFAULT_TOL", 1e-15)
     # an impossible tolerance turns the oracle cross-check into exit 3
     rc = cli.main(["transient", "--preset", "I", "--drag", "0.5",
                    "--samples", "21", "--oracle", "--out", str(tmp_path)])
     assert rc == 3
-    monkeypatch.setenv("WEBEROSC_TOL", "zap")
-    assert cli.main(["transient", "--preset", "I", "--drag", "0.5",
-                     "--samples", "21", "--oracle",
-                     "--out", str(tmp_path)]) == 2

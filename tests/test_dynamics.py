@@ -176,9 +176,9 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
            "for p in sorted(dynamics.PRESETS):\n"
            "    cfg = dynamics.apply_preset(weber.PhysicalConfig(), p)\n"
            "    dynamics.run_transient(cfg, n_samples=21)\n"
-           "for cmd in ('transient', 'polar'):\n"
-           "    assert cli.main([cmd, '--preset', 'I', '--drag', '0.5',\n"
-           "                     '--samples', '11', '--out', %r]) == 0"
+           "for argv in (['transient', '--drag', '0.5'], ['polar']):\n"
+           "    assert cli.main(argv + ['--preset', 'I', '--samples', '11',\n"
+           "                            '--out', %r]) == 0"
            % str(tmp_path))
     for code in ("import weberosc.dynamics", "import weberosc.cli", run):
         code += ("\nimport sys\n"
