@@ -13,6 +13,7 @@ failure, 4 root-finding failure.
 """
 
 import argparse
+from dataclasses import replace
 import json
 import os
 import sys
@@ -32,8 +33,8 @@ _PHYSICAL_KEYS = frozenset(weber.PhysicalConfig.__dataclass_fields__)
 
 
 def load_config(path: str) -> weber.PhysicalConfig:
-    """Flat JSON object of PhysicalConfig fields, each a finite JSON
-    number; unknown keys and other values are rejected."""
+    """Flat JSON object of PhysicalConfig fields; unknown keys and values
+    the PhysicalConfig refuses are configuration errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -45,12 +46,10 @@ def load_config(path: str) -> weber.PhysicalConfig:
     if unknown:
         raise ConfigError("config %s: unknown keys %s"
                           % (path, sorted(unknown)))
-    for key, v in data.items():
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or abs(v) > sys.float_info.max):
-            raise ConfigError("config %s: %s must be a finite number, got %r"
-                              % (path, key, v))
-    return weber.PhysicalConfig(**data)
+    try:
+        return weber.PhysicalConfig(**data)
+    except ConfigError as exc:
+        raise ConfigError("config %s: %s" % (path, exc)) from None
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -81,7 +80,7 @@ def _build_config(args) -> weber.PhysicalConfig:
         config = dynamics.apply_preset(config, args.preset)
     if args.samples < 2:
         raise ConfigError("n_samples must be >= 2, got %r" % (args.samples,))
-    return config.validate()
+    return config
 
 
 def _parse_drag(raw: str) -> tuple:
@@ -115,7 +114,7 @@ def cmd_transient(args) -> int:
     tag = args.preset or "custom"
     status = EXIT_OK
     # every drag is validated before the first CSV is written
-    cfgs = [config.with_overrides(A=A) for A in drags]
+    cfgs = [replace(config, A=A) for A in drags]
     for A, cfg in zip(drags, cfgs):
         result = dynamics.run_transient(cfg, n_samples=args.samples)
         path = os.path.join(args.out, "transient_%s_A%g.csv" % (tag, A))
@@ -148,11 +147,9 @@ def cmd_transient(args) -> int:
 def cmd_forced(args) -> int:
     base = _build_config(args)
     if args.mu is not None:
-        base = base.with_overrides(mu=args.mu)
-    if base.q == 0.0:
-        raise ConfigError("forced requires q != 0 (hermite/kummer branch)")
+        base = replace(base, mu=args.mu)
     drags = _parse_drag(args.drag) if args.drag is not None else (base.A,)
-    for cfg in [base.with_overrides(A=A) for A in drags]:
+    for cfg in [replace(base, A=A) for A in drags]:
         _run_forced(cfg, args)
     return EXIT_OK
 
@@ -179,6 +176,8 @@ def _run_forced(config, args) -> None:
 
 def cmd_polar(args) -> int:
     config = _build_config(args)
+    if config.mu != 0.0:
+        raise ConfigError(dynamics.UNFORCED_ONLY % config.mu)
     if args.theta_max is not None:
         theta_max = args.theta_max
     elif config.q > 0.0:

@@ -6,7 +6,7 @@ rho(theta) of the bead's trajectory, the five transient presets, and
 trajectory sampling with the |x| <= L cutoff.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 from typing import NamedTuple
 
@@ -16,6 +16,9 @@ from .weber import ClosedFormSolution, PhysicalConfig
 
 DEFAULT_DRAG_SET = (0.2, 0.5, 1.0, 2.0)  # figure-style sweep; not paper data
 DEFAULT_N_SAMPLES = 1001
+
+# the closed-form transient and polar curves are those of the mu = 0 arm
+UNFORCED_ONLY = "mu = %g needs the forced solution (weberosc forced)"
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,6 @@ class VerticalMotion:
 
     @classmethod
     def from_config(cls, config: PhysicalConfig) -> "VerticalMotion":
-        config.validate()
         om = math.sqrt(config.k1 / config.m)
         off = -config.m * config.g / config.k1
         dz = config.z0 - off  # z0 + m g / k1
@@ -128,7 +130,7 @@ def apply_preset(config: PhysicalConfig, preset_id: str,
     over = {"q": p.q, "k2": p.k2}
     if A is not None:
         over["A"] = A
-    return config.with_overrides(**over)
+    return replace(config, **over)
 
 
 class TrajectorySample(NamedTuple):
@@ -162,10 +164,12 @@ def horizon(config: PhysicalConfig) -> float:
 
 def run_transient(config: PhysicalConfig,
                   n_samples: int = DEFAULT_N_SAMPLES) -> TransientResult:
-    """Sample the full state on a uniform grid, cut at the first |x| > L."""
+    """Sample the unforced (mu = 0) state on a uniform grid, cut at the
+    first |x| > L."""
     if n_samples < 2:
         raise ConfigError("n_samples must be >= 2")
-    config.validate()
+    if config.mu != 0.0:
+        raise ConfigError(UNFORCED_ONLY % config.mu)
     coeffs = weber.map_params(config)
     sol = weber.solve_ivp(coeffs, config.x0, config.v0)
     vm = VerticalMotion.from_config(config)

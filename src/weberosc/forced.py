@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import brentq as _brentq
 
 from . import dynamics, specfun, weber
-from .errors import (ConvergenceError, DegenerateBasisError, DomainError,
-                     RootNotFoundError)
+from .errors import (ConfigError, ConvergenceError, DegenerateBasisError,
+                     DomainError, RootNotFoundError)
 from .weber import ClosedFormSolution, PhysicalConfig, WeberCoefficients
 
 _BRACKET_WINDOW = 5.0
@@ -197,7 +197,8 @@ def solve_forced_ivp(config: PhysicalConfig,
                      n_terms: int | None = None) -> ForcedSolution:
     """Full solution of the forced problem meeting (x0, v0) at t = 0,
     fitted on the physical horizon ``dynamics.horizon(config)``."""
-    config.validate()
+    if config.q == 0.0:
+        raise ConfigError("forced requires q != 0 (hermite/kummer branch)")
     coeffs = weber.map_params(config)
     ps = variation_constants(coeffs, config.mu, n_terms=n_terms,
                              t_end=dynamics.horizon(config))

@@ -8,15 +8,13 @@ exponential pair (not a limit of the first) is fitted and evaluated
 through the same Wronskian formulas.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 import math
+import numbers
 
 from . import specfun
 from .errors import ConfigError, DegenerateBasisError, OverflowRangeError
-
-BRANCH_HERMITE_KUMMER = "hermite_kummer"
-BRANCH_CONSTANT_Q = "constant_q"
 
 # |A^2 + 4c| below this is treated as critical damping in the q = 0 branch
 _CRITICAL_TIE = 1e-12
@@ -32,7 +30,13 @@ _W_REL_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class PhysicalConfig:
-    """Physical inputs of the rotating-arm oscillator (SI units)."""
+    """Physical inputs of the rotating-arm oscillator (SI units).
+
+    Every instance is valid: construction, and ``dataclasses.replace``,
+    raise ``ConfigError`` naming the field unless each value is a finite
+    real number (not a bool, string or None, nor an int beyond the
+    double range) that obeys the sign rules below.
+    """
 
     m: float = 1.0          # bead mass [kg]
     k1: float = 10.0        # vertical spring stiffness [N/m]
@@ -42,7 +46,6 @@ class PhysicalConfig:
     A: float = 0.0          # specific viscous damping [1/s]
     mu: float = 0.0         # dry-friction forcing acceleration [m/s^2]
     L: float = 1.0          # half rod length [m]
-    H: float = 3.0          # shaft height [m]
     g: float = 9.81         # gravity [m/s^2]
     x0: float = 0.0         # initial radial position [m]
     v0: float = 1.0         # initial radial velocity [m/s]
@@ -50,29 +53,23 @@ class PhysicalConfig:
     zdot0: float = 0.0      # initial vertical velocity [m/s]
     t_end: float = 10.0     # horizon when 1/q does not apply [s]
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ConfigError("%s must be finite, got %r" % (f.name, v))
-        if self.m <= 0:
-            raise ConfigError("m must be > 0")
-        if self.k1 <= 0:
-            raise ConfigError("k1 must be > 0")
-        if self.k2 < 0:
-            raise ConfigError("k2 must be >= 0")
-        if self.omega0 <= 0:
-            raise ConfigError("omega0 must be > 0")
-        if self.A < 0:
-            raise ConfigError("A must be >= 0")
-        if self.L <= 0:
-            raise ConfigError("L must be > 0")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be > 0")
-        return self
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs).validate()
+            try:
+                ok = (isinstance(v, numbers.Real)
+                      and not isinstance(v, bool) and math.isfinite(v))
+            except OverflowError:  # an int beyond the double range
+                ok = False
+            if not ok:
+                raise ConfigError("%s must be a finite number, got %r"
+                                  % (f.name, v))
+        for name in ("m", "k1", "omega0", "L", "t_end"):
+            if getattr(self, name) <= 0:
+                raise ConfigError("%s must be > 0" % name)
+        for name in ("k2", "A"):
+            if getattr(self, name) < 0:
+                raise ConfigError("%s must be >= 0" % name)
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,6 @@ def map_params(config: PhysicalConfig) -> WeberCoefficients:
     binary values of the inputs and rounded once, rather than
     accumulating one rounding per multiply.
     """
-    config.validate()
     ae, be, ce = map_params_exact(config.omega0, config.q, config.k2,
                                   config.m)
     a, b, c = float(ae), float(be), float(ce)
@@ -217,12 +213,6 @@ class ClosedFormSolution:
     coeffs: WeberCoefficients
     C1: float
     C2: float
-
-    @property
-    def branch(self) -> str:
-        if self.coeffs.a > 0.0:
-            return BRANCH_HERMITE_KUMMER
-        return BRANCH_CONSTANT_Q
 
 
 def solve_ivp(coeffs: WeberCoefficients, x0: float, v0: float) -> ClosedFormSolution:

@@ -1,5 +1,7 @@
 """Shared fixtures; the expensive Fourier-Bessel fits are session-scoped."""
 
+from dataclasses import replace
+
 import pytest
 
 from weberosc import forced, weber
@@ -19,7 +21,7 @@ def sample_coeffs(sample_config):
 
 @pytest.fixture(scope="session")
 def undamped_coeffs(sample_config):
-    return weber.map_params(sample_config.with_overrides(A=0.0, mu=0.0))
+    return weber.map_params(replace(sample_config, A=0.0, mu=0.0))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """In-process exercises of the weberosc command-line front end."""
 
+from dataclasses import replace
 import json
 import math
 
@@ -129,10 +130,15 @@ def test_config_run_key_types(tmp_path, bad):
     ({"A": True}, []),
     ({"q": None}, ["--preset", "I"]),
     ({"omega0": 10 ** 400}, []),
+    ({"k2": -1}, ["--preset", "I"]),
+    ({"A": -1}, []),
+    ({"H": -5}, []),
 ])
 def test_config_values_must_be_numbers(tmp_path, bad, flags):
-    """A string, bool, null or out-of-range integer in a config file is
-    refused by name, even when a flag would replace it."""
+    """A config file is one PhysicalConfig: a value it refuses (a string,
+    bool, null, out-of-range integer or a sign-rule breach) is refused by
+    name, even when --preset or --drag would replace it.  H is no longer
+    a field, so it is an unknown key."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(bad))
     key = next(iter(bad))
@@ -140,6 +146,20 @@ def test_config_values_must_be_numbers(tmp_path, bad, flags):
         cli.load_config(str(cfg))
     assert cli.main(["transient", "--config", str(cfg), "--drag", "0.5",
                      "--samples", "11", "--out", str(tmp_path)] + flags) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["transient", "--preset", "I", "--drag", "0.5"],
+    ["polar", "--preset", "I"],
+])
+def test_unforced_commands_refuse_mu(tmp_path, argv):
+    """transient and polar draw the mu = 0 closed form: a config's mu is
+    refused (exit 2, no CSV) instead of silently dropped."""
+    cfg = tmp_path / "mu.json"
+    cfg.write_text(json.dumps({"mu": 1.0}))
+    assert cli.main(argv + ["--config", str(cfg), "--samples", "11",
+                            "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -186,7 +206,7 @@ def test_non_finite_input_is_config_error(tmp_path, value):
     """A NaN or infinite value in any field is exit 2, never NaN output."""
     for name in weber.PhysicalConfig.__dataclass_fields__:
         with pytest.raises(ConfigError, match=name):
-            weber.PhysicalConfig(**{name: value}).validate()
+            weber.PhysicalConfig(**{name: value})
     out = ["--out", str(tmp_path)]
     assert cli.main(["transient", "--preset", "V", "--drag=%r" % value]
                     + out) == 2
@@ -229,8 +249,7 @@ def test_forced_csv_rows_match_library_calls(tmp_path):
     rc = cli.main(["forced", "--preset", "I", "--mu", "1", "--terms", "10",
                    "--samples", "11", "--out", str(tmp_path)])
     assert rc == 0
-    cfg = dynamics.apply_preset(weber.PhysicalConfig(), "I").with_overrides(
-        mu=1.0)
+    cfg = replace(dynamics.apply_preset(weber.PhysicalConfig(), "I"), mu=1.0)
     fs = forced.solve_forced_ivp(cfg, n_terms=10)
     horizon = dynamics.horizon(cfg)
     _, rows = _read_csv(tmp_path / "forced_A0.csv")

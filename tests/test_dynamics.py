@@ -157,6 +157,14 @@ def test_run_transient_validates_samples():
         dynamics.run_transient(weber.PhysicalConfig(), n_samples=1)
 
 
+def test_run_transient_refuses_forcing():
+    """The transient is the mu = 0 closed form: a nonzero mu is refused
+    and pointed to the forced solution, not dropped."""
+    cfg = dynamics.apply_preset(weber.PhysicalConfig(mu=1.0), "I", A=0.5)
+    with pytest.raises(ConfigError, match="forced"):
+        dynamics.run_transient(cfg, n_samples=11)
+
+
 def test_default_drag_set():
     assert dynamics.DEFAULT_DRAG_SET == (0.2, 0.5, 1.0, 2.0)
 

@@ -1,5 +1,6 @@
 """Variation of constants with Fourier-Bessel expanded Lagrange integrands."""
 
+from dataclasses import replace
 import math
 
 import mpmath
@@ -8,8 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from weberosc import dynamics, forced, oracle, specfun, weber
-from weberosc.errors import (ConvergenceError, DegenerateBasisError,
-                             DomainError, RootNotFoundError)
+from weberosc.errors import (ConfigError, ConvergenceError,
+                             DegenerateBasisError, DomainError,
+                             RootNotFoundError)
 
 
 def test_find_tbar_sample_value(sample_coeffs):
@@ -85,7 +87,7 @@ def test_fit_of_unit_function_closed_form():
 def test_fit_matches_per_coefficient_quadrature(sample_config):
     """The one-grid coefficients agree with an adaptive quadrature of each
     B_k on its own (sample arm, A = 0.5, 40 terms)."""
-    co = weber.map_params(sample_config.with_overrides(A=0.5))
+    co = weber.map_params(replace(sample_config, A=0.5))
     fn = lambda t: forced.integrand_c1(co, t)
     tb = forced.find_tbar(co, 10.0)
     exp = forced.fourier_bessel_fit(fn, tb, 40)
@@ -300,3 +302,11 @@ def test_particular_residual_bound(fit200, sample_coeffs):
                + co.A * (xp - xm) / (2.0 * h)
                - (co.a * t * t + co.b * t + co.c) * x0 - 1.0)
         assert abs(res) <= 1e-4
+
+
+def test_solve_forced_ivp_requires_q_nonzero():
+    """The particular solution exists only on the Hermite/Kummer branch,
+    so q = 0 is refused up front rather than deep in the t_bar scan."""
+    with pytest.raises(ConfigError, match="q != 0"):
+        forced.solve_forced_ivp(weber.PhysicalConfig(q=0.0, mu=1.0),
+                                n_terms=10)

@@ -1,5 +1,6 @@
 """Closed-form solver of x'' + A x' - (a t^2 + b t + c) x = 0."""
 
+from dataclasses import fields, replace
 import math
 
 import numpy as np
@@ -239,7 +240,7 @@ def test_oracle_equivalence(preset_id):
 def test_constant_branch_oscillatory():
     co = weber.WeberCoefficients(a=0.0, b=0.0, c=-1.0, A=0.0, beta=None)
     sol = weber.solve_ivp(co, 1.0, 0.0)
-    assert sol.branch == weber.BRANCH_CONSTANT_Q
+    assert sol.coeffs.a == 0.0
     for t in np.linspace(0.0, 10.0, 41):
         x, v = weber.eval_solution(sol, t)
         assert x == pytest.approx(math.cos(t), rel=1e-12, abs=1e-12)
@@ -306,13 +307,32 @@ def test_overflow_reports_time():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        weber.PhysicalConfig(m=-1.0).validate()
+        weber.PhysicalConfig(m=-1.0)
     with pytest.raises(ConfigError):
-        weber.PhysicalConfig(A=-0.5).validate()
+        weber.PhysicalConfig(A=-0.5)
     with pytest.raises(ConfigError):
-        weber.PhysicalConfig(omega0=0.0).validate()
+        weber.PhysicalConfig(omega0=0.0)
     with pytest.raises(ConfigError):
-        weber.PhysicalConfig().with_overrides(L=0.0)
+        replace(weber.PhysicalConfig(), L=0.0)
+
+
+_NOT_FINITE_NUMBERS = ["10", True, None, 10 ** 400, math.nan, math.inf,
+                       -math.inf]
+_SIGN_RULES = {"m": [0.0, -1.0], "k1": [0.0, -1.0], "k2": [-1e-9],
+               "omega0": [0.0, -3.0], "A": [-0.5], "L": [0.0, -1.0],
+               "t_end": [0.0, -1.0]}
+
+
+@pytest.mark.parametrize("name", [f.name for f in
+                                  fields(weber.PhysicalConfig)])
+def test_config_checks_itself(name):
+    """No invalid PhysicalConfig can be built, directly or by replace:
+    each refused value raises ConfigError naming its field."""
+    for value in _NOT_FINITE_NUMBERS + _SIGN_RULES.get(name, []):
+        with pytest.raises(ConfigError, match="^%s must" % name):
+            weber.PhysicalConfig(**{name: value})
+        with pytest.raises(ConfigError, match="^%s must" % name):
+            replace(weber.PhysicalConfig(), **{name: value})
 
 
 def _preset_coeffs(preset_id, A):
