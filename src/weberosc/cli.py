@@ -13,6 +13,7 @@ failure, 4 root-finding failure.
 """
 
 import argparse
+import csv
 from dataclasses import replace
 import json
 import os
@@ -29,12 +30,10 @@ EXIT_ROOT = 4
 
 DEFAULT_TOL = 1e-6  # --oracle gate on the relative error against RK45
 
-_PHYSICAL_KEYS = frozenset(weber.PhysicalConfig.__dataclass_fields__)
-
 
 def load_config(path: str) -> weber.PhysicalConfig:
-    """Flat JSON object of PhysicalConfig fields; unknown keys and values
-    the PhysicalConfig refuses are configuration errors."""
+    """Flat JSON object of PhysicalConfig fields; the keys and values the
+    PhysicalConfig refuses are configuration errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -42,10 +41,6 @@ def load_config(path: str) -> weber.PhysicalConfig:
             raise ConfigError("config %s: %s" % (path, exc)) from None
     if not isinstance(data, dict):
         raise ConfigError("config %s: expected a flat JSON object" % path)
-    unknown = set(data) - _PHYSICAL_KEYS
-    if unknown:
-        raise ConfigError("config %s: unknown keys %s"
-                          % (path, sorted(unknown)))
     try:
         return weber.PhysicalConfig(**data)
     except ConfigError as exc:
@@ -54,17 +49,14 @@ def load_config(path: str) -> weber.PhysicalConfig:
 
 def write_csv(path: str, header, rows) -> None:
     """Atomic CSV write; floats rendered by repr (shortest round-trip)."""
-    def cell(v):
-        return repr(float(v)) if isinstance(v, float) else str(v)
-
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(cell(v) for v in row) + "\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -171,7 +163,7 @@ def _run_forced(config, args) -> None:
     oscillatory = _zero_crossings(xdots) > 1
     print("forced mu=%g A=%g t_bar=(%r, %r) n_terms=%d oscillatory=%s"
           % (config.mu, config.A, ps.exp1.t_bar, ps.exp2.t_bar,
-             ps.exp1.n_terms, oscillatory))
+             len(ps.exp1.B), oscillatory))
 
 
 def cmd_polar(args) -> int:

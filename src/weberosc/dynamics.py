@@ -8,6 +8,7 @@ trajectory sampling with the |x| <= L cutoff.
 
 from dataclasses import dataclass, field, replace
 import math
+import numbers
 from typing import NamedTuple
 
 from . import weber
@@ -149,7 +150,6 @@ class TrajectorySample(NamedTuple):
 
 @dataclass(frozen=True)
 class TransientResult:
-    config: PhysicalConfig
     samples: list = field(default_factory=list)
     truncated: bool = False
     t_trunc: float | None = None
@@ -166,8 +166,10 @@ def run_transient(config: PhysicalConfig,
                   n_samples: int = DEFAULT_N_SAMPLES) -> TransientResult:
     """Sample the unforced (mu = 0) state on a uniform grid, cut at the
     first |x| > L."""
-    if n_samples < 2:
-        raise ConfigError("n_samples must be >= 2")
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, numbers.Integral) or n_samples < 2):
+        raise ConfigError("n_samples must be an integer >= 2, got %r"
+                          % (n_samples,))
     if config.mu != 0.0:
         raise ConfigError(UNFORCED_ONLY % config.mu)
     coeffs = weber.map_params(config)
@@ -187,5 +189,5 @@ def run_transient(config: PhysicalConfig,
         samples.append(TrajectorySample(
             t, x, xdot, z, zdot, theta_of_t(config, t), x,
             _reaction_y(config, t, x, xdot), _reaction_z(config, zddot)))
-    return TransientResult(config=config, samples=samples,
+    return TransientResult(samples=samples,
                            truncated=t_trunc is not None, t_trunc=t_trunc)

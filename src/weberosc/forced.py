@@ -35,7 +35,6 @@ class FourierBesselExpansion:
     t_bar: float
     alphas: tuple
     B: tuple
-    n_terms: int
 
 
 def _basis_over_wronskian(coeffs: WeberCoefficients, t: float):
@@ -57,12 +56,11 @@ def integrand_c2(coeffs: WeberCoefficients, t: float) -> float:
     return _basis_over_wronskian(coeffs, t)[0]
 
 
-def find_root_after(fn, t_end: float, window: float = _BRACKET_WINDOW) -> float:
-    """First sign change of fn in (t_end, t_end + window], refined by Brent."""
+def find_root_after(fn, t_end: float) -> float:
+    """First sign change of fn within _BRACKET_WINDOW past t_end, by Brent."""
     t_lo = t_end
     f_lo = fn(t_lo)
-    steps = int(round(window / _BRACKET_STEP))
-    for i in range(1, steps + 1):
+    for i in range(1, round(_BRACKET_WINDOW / _BRACKET_STEP) + 1):
         t_hi = t_end + i * _BRACKET_STEP
         f_hi = fn(t_hi)
         if f_lo == 0.0:
@@ -71,7 +69,7 @@ def find_root_after(fn, t_end: float, window: float = _BRACKET_WINDOW) -> float:
             return _brentq(fn, t_lo, t_hi, xtol=1e-10)
         t_lo, f_lo = t_hi, f_hi
     raise RootNotFoundError(
-        "no sign change in (%g, %g]" % (t_end, t_end + window))
+        "no sign change in (%g, %g]" % (t_end, t_end + _BRACKET_WINDOW))
 
 
 def find_tbar(coeffs: WeberCoefficients, t_end: float) -> float:
@@ -109,7 +107,7 @@ def fourier_bessel_fit(fn, t_bar: float, n_terms: int) -> FourierBesselExpansion
             "Fourier-Bessel fit: %d- and %d-panel coefficients differ by "
             "%.3g against max |B| = %.3g" % (panels, 2 * panels, delta, scale))
     return FourierBesselExpansion(t_bar=t_bar, alphas=tuple(alphas.tolist()),
-                                  B=tuple(B.tolist()), n_terms=n_terms)
+                                  B=tuple(B.tolist()))
 
 
 def eval_expansion(exp: FourierBesselExpansion, t: float) -> float:
@@ -196,14 +194,14 @@ class ForcedSolution:
 def solve_forced_ivp(config: PhysicalConfig,
                      n_terms: int | None = None) -> ForcedSolution:
     """Full solution of the forced problem meeting (x0, v0) at t = 0,
-    fitted on the physical horizon ``dynamics.horizon(config)``."""
+    fitted on the physical horizon ``dynamics.horizon(config)``.  The
+    particular part starts at rest (c1, c2 integrate from 0)."""
     if config.q == 0.0:
         raise ConfigError("forced requires q != 0 (hermite/kummer branch)")
     coeffs = weber.map_params(config)
     ps = variation_constants(coeffs, config.mu, n_terms=n_terms,
                              t_end=dynamics.horizon(config))
-    xb0, vb0 = eval_particular(ps, 0.0)
-    hom = weber.solve_ivp(coeffs, config.x0 - xb0, config.v0 - vb0)
+    hom = weber.solve_ivp(coeffs, config.x0, config.v0)
     return ForcedSolution(particular=ps, homogeneous=hom)
 
 
@@ -226,10 +224,10 @@ def eval_forced(fs: ForcedSolution, t: float):
     return eval_forced_parts(fs, t)[:2]
 
 
-def reconstruction_error(exp: FourierBesselExpansion, fn,
-                         frac: float = 0.95, n_samples: int = 400) -> float:
-    """Relative L2 error of the expansion against fn on [0, frac * t_bar]."""
-    ts = np.linspace(0.0, frac * exp.t_bar, n_samples)
+def reconstruction_error(exp: FourierBesselExpansion, fn) -> float:
+    """Relative L2 error of the expansion against fn at 400 points of
+    [0, 0.95 t_bar]."""
+    ts = np.linspace(0.0, 0.95 * exp.t_bar, 400)
     ref = np.array([fn(t) for t in ts])
     fit = np.array([eval_expansion(exp, t) for t in ts])
     denom = math.sqrt(float(np.sum(ref * ref)))

@@ -22,6 +22,7 @@ is summed again at 34 significant digits in the standard library's
 
 from decimal import Context, Decimal, localcontext
 import math
+import numbers
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -333,10 +334,10 @@ def bessel_j0_zeros(n):
     Entry k is bit-identical for every n >= k, so one call serves a
     whole expansion.
     """
-    if n < 1:
-        raise DomainError("J0 zeros: need n >= 1, got %r" % (n,))
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError("J0 zeros: need an integer n >= 1, got %r" % (n,))
     from scipy.special import jn_zeros
-    return jn_zeros(0, int(n))
+    return jn_zeros(0, n)
 
 
 def bessel_j0_zero(k):

@@ -33,9 +33,9 @@ class PhysicalConfig:
     """Physical inputs of the rotating-arm oscillator (SI units).
 
     Every instance is valid: construction, and ``dataclasses.replace``,
-    raise ``ConfigError`` naming the field unless each value is a finite
-    real number (not a bool, string or None, nor an int beyond the
-    double range) that obeys the sign rules below.
+    raise ``ConfigError`` naming the keyword unless it is a field whose
+    value is a finite real number (not a bool, string or None, nor an
+    int beyond the double range) that obeys the sign rules below.
     """
 
     m: float = 1.0          # bead mass [kg]
@@ -52,6 +52,12 @@ class PhysicalConfig:
     z0: float = 0.0         # initial vertical position [m]
     zdot0: float = 0.0      # initial vertical velocity [m/s]
     t_end: float = 10.0     # horizon when 1/q does not apply [s]
+
+    def __new__(cls, *args, **kwargs):
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError("unknown keys %s" % sorted(unknown))
+        return super().__new__(cls)
 
     def __post_init__(self):
         for f in fields(self):

@@ -153,8 +153,11 @@ def test_run_transient_truncates_on_blowup():
 
 
 def test_run_transient_validates_samples():
-    with pytest.raises(ConfigError):
-        dynamics.run_transient(weber.PhysicalConfig(), n_samples=1)
+    """A sample count is an integer >= 2: a float is not truncated and a
+    bool is not taken as a number."""
+    for n in (1, 2.5, 11.0, True, "11"):
+        with pytest.raises(ConfigError, match="n_samples"):
+            dynamics.run_transient(weber.PhysicalConfig(), n_samples=n)
 
 
 def test_run_transient_refuses_forcing():

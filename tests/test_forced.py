@@ -26,7 +26,7 @@ def test_find_tbar_sample_value(sample_coeffs):
 
 def test_find_root_after_no_sign_change():
     with pytest.raises(RootNotFoundError):
-        forced.find_root_after(lambda t: 1.0 + t, 0.0, window=2.0)
+        forced.find_root_after(lambda t: 1.0 + t, 0.0)
 
 
 def test_integrands_match_prefactor_form(sample_coeffs):
@@ -154,8 +154,7 @@ def test_single_term_integral_identity():
     """One-term expansion: termwise integral equals the J0 quadrature."""
     tb = 2.0
     a1 = specfun.bessel_j0_zero(1)
-    exp = forced.FourierBesselExpansion(t_bar=tb, alphas=(a1,), B=(1.0,),
-                                        n_terms=1)
+    exp = forced.FourierBesselExpansion(t_bar=tb, alphas=(a1,), B=(1.0,))
     for t in (0.3, 0.9, 1.7):
         direct, _ = quad(lambda s: specfun.bessel_j0(a1 * s / tb), 0.0, t,
                          epsrel=1e-12)
@@ -219,6 +218,25 @@ def test_zero_mu_gives_zero_particular(sample_coeffs):
         x, v = forced.eval_particular(ps, t)
         assert x == 0.0
         assert v == 0.0
+
+
+@pytest.mark.parametrize("A, mu, x0, v0", [(0.0, 1.0, 0.0, 1.0),
+                                           (0.5, -0.5, 0.2, -0.3),
+                                           (1.0, 2.0, -0.1, 0.0)])
+def test_particular_part_starts_at_rest(A, mu, x0, v0):
+    """c1 and c2 integrate from 0, so the particular part is exactly 0 at
+    t = 0 and the homogeneous part is the unforced fit to (x0, v0)."""
+    cfg = weber.PhysicalConfig(A=A, mu=mu, x0=x0, v0=v0)
+    fs = forced.solve_forced_ivp(cfg, n_terms=10)
+    assert forced.eval_particular(fs.particular, 0.0) == (0.0, 0.0)
+    assert fs.homogeneous == weber.solve_ivp(weber.map_params(cfg), x0, v0)
+
+
+def test_fit_refuses_non_integer_term_counts():
+    """12.7 terms is refused, not fitted as 12."""
+    for n_terms in (12.7, True):
+        with pytest.raises(DomainError, match="integer"):
+            forced.fourier_bessel_fit(lambda t: 1.0, 2.0, n_terms)
 
 
 def test_default_n_terms():

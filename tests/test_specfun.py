@@ -254,6 +254,12 @@ def test_j0_zeros_contract():
         prev = ak
     with pytest.raises(DomainError):
         specfun.bessel_j0_zero(0)
+    # a count is an integer: a float is not truncated, a bool is not 1
+    for n in (2.5, 3.0, True, "3", None):
+        with pytest.raises(DomainError, match="integer"):
+            specfun.bessel_j0_zeros(n)
+    assert specfun.bessel_j0_zeros(np.int64(3)).tolist() == \
+        specfun.bessel_j0_zeros(3).tolist()
 
 
 # ---------------------------------------------------------------- hypothesis

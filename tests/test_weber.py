@@ -1,7 +1,9 @@
 """Closed-form solver of x'' + A x' - (a t^2 + b t + c) x = 0."""
 
+import copy
 from dataclasses import fields, replace
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -333,6 +335,19 @@ def test_config_checks_itself(name):
             weber.PhysicalConfig(**{name: value})
         with pytest.raises(ConfigError, match="^%s must" % name):
             replace(weber.PhysicalConfig(), **{name: value})
+
+
+def test_config_refuses_unknown_keywords():
+    """A keyword that names no field is a ConfigError naming it, under
+    construction and replace; copying and pickling still work."""
+    with pytest.raises(ConfigError, match="'H'"):
+        weber.PhysicalConfig(H=3.0)
+    with pytest.raises(ConfigError, match="'H'"):
+        replace(weber.PhysicalConfig(), H=3.0)
+    cfg = weber.PhysicalConfig(q=0.2, A=0.5)
+    assert copy.copy(cfg) == cfg
+    assert copy.deepcopy(cfg) == cfg
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 def _preset_coeffs(preset_id, A):
