@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.optimize import brentq as _brentq
 
 from . import dynamics, specfun, weber
 from .errors import (ConfigError, ConvergenceError, DegenerateBasisError,
@@ -23,6 +22,9 @@ from .weber import ClosedFormSolution, PhysicalConfig, WeberCoefficients
 
 _BRACKET_WINDOW = 5.0
 _BRACKET_STEP = 0.01
+# a root is refined until its bracket is narrower than this
+_ROOT_XTOL = 1e-10
+_ROOT_MAX_ITER = 100
 # largest change of B between the P- and 2P-panel fits, relative to max |B|
 _FIT_REL_TOL = 1e-8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -56,8 +58,40 @@ def integrand_c2(coeffs: WeberCoefficients, t: float) -> float:
     return _basis_over_wronskian(coeffs, t)[0]
 
 
+def _bracketed_root(fn, a, fa, b, fb):
+    """Root of fn in [a, b], where fa and fb have opposite signs, by the
+    Illinois variant of regula falsi: the secant weight of an end kept
+    twice in a row is halved, so both ends close in on the root.  Once
+    the bracket is narrower than _ROOT_XTOL, the secant through its ends
+    gives the root."""
+    wa = wb = 1.0
+    kept = 0  # +1 after b was kept, -1 after a was kept
+    for _ in range(_ROOT_MAX_ITER):
+        c = b - wb * fb * (b - a) / (wb * fb - wa * fa)
+        if not a < c < b:  # rounding; a bisection step instead
+            c = 0.5 * (a + b)
+        fc = fn(c)
+        if fc == 0.0:
+            return c
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa, wa = c, fc, 1.0
+            if kept == 1:
+                wb *= 0.5
+            kept = 1
+        else:
+            b, fb, wb = c, fc, 1.0
+            if kept == -1:
+                wa *= 0.5
+            kept = -1
+        if b - a <= _ROOT_XTOL:
+            return b - fb * (b - a) / (fb - fa)
+    raise RootNotFoundError("root in (%r, %r) not isolated to %g within "
+                            "%d steps" % (a, b, _ROOT_XTOL, _ROOT_MAX_ITER))
+
+
 def find_root_after(fn, t_end: float) -> float:
-    """First sign change of fn within _BRACKET_WINDOW past t_end, by Brent."""
+    """First sign change of fn within _BRACKET_WINDOW past t_end, refined
+    to _ROOT_XTOL."""
     t_lo = t_end
     f_lo = fn(t_lo)
     for i in range(1, round(_BRACKET_WINDOW / _BRACKET_STEP) + 1):
@@ -66,7 +100,7 @@ def find_root_after(fn, t_end: float) -> float:
         if f_lo == 0.0:
             return t_lo
         if f_lo * f_hi < 0.0:
-            return _brentq(fn, t_lo, t_hi, xtol=1e-10)
+            return _bracketed_root(fn, t_lo, f_lo, t_hi, f_hi)
         t_lo, f_lo = t_hi, f_hi
     raise RootNotFoundError(
         "no sign change in (%g, %g]" % (t_end, t_end + _BRACKET_WINDOW))
@@ -120,7 +154,9 @@ def integrate_expansion(exp: FourierBesselExpansion, t: float) -> float:
     """Exact termwise integral of the partial sum over [0, t].
 
     Term k integrates to B_k (t_bar / a_k) int_0^{a_k t / t_bar} J0,
-    i.e. t B_k 1F2(1/2; 1, 3/2; -a_k^2 t^2 / (4 t_bar^2)).
+    i.e. t B_k 1F2(1/2; 1, 3/2; -a_k^2 t^2 / (4 t_bar^2)); the J0
+    integrals of all terms come from one ``specfun.bessel_j0_integral``
+    call, a Gauss-Legendre panel sum on J0.
     """
     return float(np.dot(np.divide(exp.B, exp.alphas) * exp.t_bar,
                         specfun.bessel_j0_integral(

@@ -4,11 +4,11 @@ Kummer's 1F1 is a scalar pure-Python series defined here.  A Hermite
 function of argument z < 0 is a Gamma-weighted pair of 1F1 series,
 combined here too; for z >= 0, where that pair cancels completely,
 H_nu comes from an exp-sinh quadrature of its integral representation
-at two orders below -1, recurred upward in the order.  J0, J1, the J0
-zeros and the J0 integral (in its Struve form) come from
-:mod:`scipy.special`, imported on first use so that the closed-form
-transient path never loads numpy or scipy.  All functions are pure and
-thread-safe.
+at two orders below -1, recurred upward in the order.  J0, J1 and the
+J0 zeros come from :mod:`scipy.special`, and the J0 integral is a
+Gauss-Legendre panel sum on its ``j0``; scipy is imported on first use
+so that the closed-form transient path never loads numpy or scipy.
+All functions are pure and thread-safe.
 
 Every series uses Kahan-compensated summation and stops once the term
 magnitude stays below ``_REL_TOL`` times the partial sum for three
@@ -21,6 +21,7 @@ is summed again at 34 significant digits in the standard library's
 """
 
 from decimal import Context, Decimal, localcontext
+import functools
 import math
 import numbers
 
@@ -68,6 +69,11 @@ def _exp_sinh_sides():
 
 
 _EXP_SINH_SIDES = _exp_sinh_sides()
+
+# int_0^x J0 is summed on panels of this width; |x| beyond the cap, just
+# above the zero alpha_3183 = 9998.9 of J0, is refused
+_J0_PANEL = 2.0
+_J0_INTEGRAL_CAP = 1.0e4
 
 # a node whose term falls below this fraction of its side's running sum
 # ends that side: past it the integrand decays double-exponentially
@@ -345,18 +351,63 @@ def bessel_j0_zero(k):
     return float(bessel_j0_zeros(k)[-1])
 
 
+@functools.cache
+def _j0_panel_rule():
+    """(nodes, weights, prefix) of the J0 integral: the 8-point
+    Gauss-Legendre rule on [-1, 1], and prefix[n] = int_0^{nh} J0 for
+    n = 0 .. cap/h, each panel by that rule and the panels summed in
+    order.  Built on first use (a concurrent first use builds it twice).
+    """
+    import numpy as np
+    from scipy.special import j0
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    h = _J0_PANEL
+    starts = h * np.arange(round(_J0_INTEGRAL_CAP / h))
+    panels = j0(starts[:, None] + 0.5 * h * (nodes + 1.0)) @ weights
+    return nodes, weights, np.concatenate(([0.0],
+                                           np.cumsum(0.5 * h * panels)))
+
+
+def _j0_integral_abs(ax):
+    """int_0^ax J0 for an array ax of values in [0, cap]: the prefix sum
+    of the full panels below ax plus the rule on the last partial panel.
+
+    Every step is elementwise (the eight weighted nodes are added
+    pairwise in a fixed order), so each element is its scalar call.
+    """
+    import numpy as np
+    from scipy.special import j0
+    nodes, weights, prefix = _j0_panel_rule()
+    n = np.floor(ax / _J0_PANEL)
+    start = n * _J0_PANEL
+    half = 0.5 * (ax - start)
+    f = j0((start + half)[..., None] + half[..., None] * nodes) * weights
+    f = f[..., :4] + f[..., 4:]
+    f = f[..., :2] + f[..., 2:]
+    return prefix[n.astype(np.intp)] + half * (f[..., 0] + f[..., 1])
+
+
 def bessel_j0_integral(x):
     """Integral of J0 over [0, x]; equals x * 1F2(1/2; 1, 3/2; -x^2/4).
 
-    Evaluated through Struve functions (DLMF 10.22.2),
-    int_0^x J0 = x J0(x) + (pi x / 2) (J1(x) H0(x) - J0(x) H1(x)),
-    at |x| and given the sign of x, so it is exactly odd.  A float for
-    a scalar ``x``, an ndarray for an array.
+    Summed on panels of width 2 by the 8-point Gauss-Legendre rule on
+    ``scipy.special.j0``, at |x| and given the sign of x, so it is
+    exactly odd.  Against mpmath, within 1.9e-15 absolute for |x| < 100
+    and 2.2e-14 up to |x| = ``_J0_INTEGRAL_CAP``, where the prefix sum
+    spans 5,000 panels.  A finite |x| beyond the cap raises DomainError;
+    x = +-inf gives the limit +-1, and NaN gives NaN.  A float for a
+    scalar ``x``, an ndarray for an array.
     """
     import numpy as np
-    from scipy.special import j0, j1, struve
     ax = np.abs(x)
-    j0x = j0(ax)
-    r = ax * j0x + 0.5 * np.pi * ax * (j1(ax) * struve(0, ax)
-                                       - j0x * struve(1, ax))
+    inside = ax <= _J0_INTEGRAL_CAP
+    if inside.all():
+        r = _j0_integral_abs(ax)
+    else:
+        beyond = ax[np.isfinite(ax) & ~inside]
+        if beyond.size:
+            raise DomainError("J0 integral: |x| = %r exceeds %r"
+                              % (float(beyond[0]), _J0_INTEGRAL_CAP))
+        r = np.where(inside, _j0_integral_abs(np.where(inside, ax, 0.0)),
+                     np.where(np.isnan(ax), ax, 1.0))
     return _float_if_scalar(np.copysign(r, x))

@@ -28,14 +28,15 @@ _W_FLOOR = 1e-300
 _W_REL_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PhysicalConfig:
     """Physical inputs of the rotating-arm oscillator (SI units).
 
     Every instance is valid: construction, and ``dataclasses.replace``,
     raise ``ConfigError`` naming the keyword unless it is a field whose
     value is a finite real number (not a bool, string or None, nor an
-    int beyond the double range) that obeys the sign rules below.
+    int beyond the double range) that obeys the sign rules below.  The
+    fields are keywords only; a positional argument is a ``ConfigError``.
     """
 
     m: float = 1.0          # bead mass [kg]
@@ -54,6 +55,9 @@ class PhysicalConfig:
     t_end: float = 10.0     # horizon when 1/q does not apply [s]
 
     def __new__(cls, *args, **kwargs):
+        if args:
+            raise ConfigError("fields are keywords only, got %d positional "
+                              "argument(s)" % len(args))
         unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError("unknown keys %s" % sorted(unknown))

@@ -54,13 +54,13 @@ def test_criterion_3_oracle_equivalence(capsys, forced300, sample_config,
                                    dynamics.horizon(cfg), rel_tol=1e-11,
                                    n_samples=201,
                                    amplitude_guard=10.0 * cfg.L)
-        rep = oracle.compare(num.grid,
-                             lambda t: weber.eval_solution(sol, t), num)
+        rep = oracle.compare(
+            num.grid, [weber.eval_solution(sol, t)[0] for t in num.grid], num)
         worst_h = max(worst_h, rep.max_rel_err)
     num = oracle.integrate_ode(sample_coeffs, sample_config.mu, 0.0, 1.0,
                                9.0, rel_tol=1e-11, n_samples=181)
-    rep = oracle.compare(num.grid,
-                         lambda t: forced.eval_forced(forced300, t), num)
+    rep = oracle.compare(
+        num.grid, [forced.eval_forced(forced300, t)[0] for t in num.grid], num)
     dt = time.perf_counter() - t0
     ok = worst_h <= 1e-6 and rep.max_rel_err <= 1e-4 and dt < 30.0
     _report(capsys, 3,

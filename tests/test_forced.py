@@ -2,6 +2,9 @@
 
 from dataclasses import replace
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -22,6 +25,53 @@ def test_find_tbar_sample_value(sample_coeffs):
     tb2 = forced.find_root_after(
         lambda t: forced.integrand_c2(sample_coeffs, t), 10.0)
     assert tb2 == pytest.approx(10.3773, abs=5e-3)
+
+
+@pytest.mark.parametrize("A", [0.0, 0.3, 1.0, 2.0])
+def test_find_root_after_matches_brent(A):
+    """Both t_bar of the sample arm lie within 1e-10 of scipy's brentq
+    on the same bracket."""
+    from scipy.optimize import brentq
+    co = weber.map_params(weber.PhysicalConfig(A=A))
+    for integrand in (forced.integrand_c1, forced.integrand_c2):
+        def fn(t):
+            return integrand(co, t)
+        root = forced.find_root_after(fn, 10.0)
+        lo = 10.0 + math.floor((root - 10.0) / forced._BRACKET_STEP) \
+            * forced._BRACKET_STEP
+        ref = brentq(fn, lo, lo + forced._BRACKET_STEP, xtol=1e-10)
+        assert abs(root - ref) <= 1e-10
+
+
+def test_bracketed_root_isolates_sign_changes():
+    """A smooth root comes out to rounding; a jump is isolated to the
+    1e-10 bracket width."""
+    root = forced._bracketed_root(math.cos, 1.0, math.cos(1.0),
+                                  2.0, math.cos(2.0))
+    assert abs(root - 0.5 * math.pi) <= 1e-15
+
+    def step(t):
+        return -1.0 if t < 1.234 else 1.0
+
+    root = forced._bracketed_root(step, 1.0, -1.0, 2.0, 1.0)
+    assert abs(root - 1.234) <= 1e-10
+
+
+def test_import_leaves_scipy_optimize_out():
+    """The forced case finds its roots itself, so importing it and
+    fitting an expansion do not load scipy.optimize."""
+    import weberosc
+    src = os.path.dirname(os.path.dirname(weberosc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from weberosc import forced, weber\n"
+            "forced.solve_forced_ivp(weber.PhysicalConfig(mu=1.0), n_terms=5)\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_find_root_after_no_sign_change():
@@ -253,8 +303,8 @@ def test_forced_ivp_roundtrip(forced300):
 def test_forced_matches_oracle(forced300, sample_config, sample_coeffs):
     res = oracle.integrate_ode(sample_coeffs, sample_config.mu, 0.0, 1.0,
                                9.0, rel_tol=1e-11, n_samples=181)
-    rep = oracle.compare(res.grid,
-                         lambda t: forced.eval_forced(forced300, t), res)
+    rep = oracle.compare(
+        res.grid, [forced.eval_forced(forced300, t)[0] for t in res.grid], res)
     assert rep.max_rel_err <= 1e-4
 
 

@@ -86,10 +86,45 @@ J0_INTEGRAL_REFS = [
     (12.1, 0.7799964103946571),
     (60.0, 1.0481087367702835),
     (627.0, 0.9725739446089868),
-    # 25.6 lies in the Struve form's least accurate band; 941 is close to
-    # alpha_300 = 941.5, which bounds the arguments of a 300-term expansion
+    # 25.6 and 941 fall inside a panel, so the rule on the partial panel
+    # contributes; 941 is close to alpha_300 = 941.5, which bounds the
+    # arguments of a 300-term expansion
     (25.6, 0.9471134300376906),
     (941.0, 0.9799904749424762),
+]
+
+# int_0^x J0 at x = 10 + 0.37 i, i = 0 .. 54: dense over [10, 30], where
+# the integral still swings by 0.4 between its extremes
+J0_INTEGRAL_DENSE_X = [10.0 + 0.37 * i for i in range(55)]
+J0_INTEGRAL_DENSE = [
+    1.0670113039567368, 0.975152148412687, 0.8897946587405486,
+    0.8220707308248245, 0.7804080335020134, 0.7695152590034021,
+    0.7898828499529665, 0.8378486705553094, 0.9062039480004964,
+    0.9852456819823, 1.064126368061026, 1.1323171188012502, 1.1809901223280153,
+    1.204141624559156, 1.1993147389441292, 1.1678369486554756,
+    1.114552590807456, 1.047097188331853, 0.9748195285452451,
+    0.9075013306714586, 0.8540477576363898, 0.8213222490225016,
+    0.8132765981005927, 0.8304852523152538, 0.8701373466020024,
+    0.9264785142881606, 0.9916352479102837, 1.0567052604330698,
+    1.1129642454751405, 1.153026727347702, 1.1718076573474396,
+    1.167160504842996, 1.1401126352782738, 1.0946735495076512,
+    1.0372486789942656, 0.9757432941653137, 0.9184809042911039,
+    0.8730832170675595, 0.8454615377091053, 0.8390523460906651,
+    0.8543952658482873, 0.8891045680369081, 0.9382321659310879,
+    0.9949679101514534, 1.0515788012193306, 1.1004582659199464,
+    1.135143760061522, 1.1511671402167447, 1.146626413738459,
+    1.1224061744317309, 1.0820219164218563, 1.0311139917641703,
+    0.9766634626958531, 0.926038350131639, 0.8860000880231212,
+]
+
+# up to the cap of 1e4: the prefix sum there runs over 5,000 panels
+J0_INTEGRAL_NEAR_CAP = [
+    (3141.0, 0.9860264954071585),
+    (5000.5, 0.9888123205899563),
+    (7777.7, 0.9909962861864343),
+    (9990.3, 0.9945580908977325),
+    (9999.9, 1.0043383721434078),
+    (10000.0, 1.003648160335069),
 ]
 
 
@@ -140,6 +175,14 @@ def test_j0_integral_reference_values(x, expected):
     assert specfun.bessel_j0_integral(x) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("x,expected", list(zip(
+    J0_INTEGRAL_DENSE_X, J0_INTEGRAL_DENSE)) + J0_INTEGRAL_NEAR_CAP)
+def test_j0_integral_absolute_accuracy(x, expected):
+    assert specfun.bessel_j0_integral(x) == pytest.approx(expected, abs=1e-13)
+    assert specfun.bessel_j0_integral(-x) == pytest.approx(-expected,
+                                                           abs=1e-13)
+
+
 # ------------------------------------------------------ structural properties
 
 def test_series_at_origin():
@@ -163,6 +206,22 @@ def test_parity():
     assert [v.hex() for v in pos.tolist()] == [
         specfun.bessel_j0_integral(v).hex() for v in x.tolist()]
     assert (specfun.bessel_j0_integral(-x) == -pos).all()
+
+
+def test_j0_integral_beyond_cap_and_non_finite():
+    """A finite |x| beyond the cap is refused, in an array too; +-inf
+    give the limit +-1 and NaN stays NaN, next to ordinary elements."""
+    cap = specfun._J0_INTEGRAL_CAP
+    for x in (np.nextafter(cap, np.inf), -1e5, 1e300,
+              np.array([1.0, 2.0 * cap])):
+        with pytest.raises(DomainError, match="exceeds"):
+            specfun.bessel_j0_integral(x)
+    assert specfun.bessel_j0_integral(math.inf) == 1.0
+    assert specfun.bessel_j0_integral(-math.inf) == -1.0
+    assert math.isnan(specfun.bessel_j0_integral(math.nan))
+    r = specfun.bessel_j0_integral(np.array([-np.inf, np.nan, 3.0, np.inf]))
+    assert r[0] == -1.0 and math.isnan(r[1]) and r[3] == 1.0
+    assert r[2] == specfun.bessel_j0_integral(3.0)
 
 
 def test_reciprocal_gamma():

@@ -235,7 +235,8 @@ def test_oracle_equivalence(preset_id):
     num = oracle.integrate_ode(co, 0.0, cfg.x0, cfg.v0, t_end,
                                rel_tol=1e-11, n_samples=201,
                                amplitude_guard=10.0 * cfg.L)
-    rep = oracle.compare(num.grid, lambda t: weber.eval_solution(sol, t), num)
+    rep = oracle.compare(
+        num.grid, [weber.eval_solution(sol, t)[0] for t in num.grid], num)
     assert rep.max_rel_err <= 1e-6
 
 
@@ -348,6 +349,15 @@ def test_config_refuses_unknown_keywords():
     assert copy.copy(cfg) == cfg
     assert copy.deepcopy(cfg) == cfg
     assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+def test_config_refuses_positional_arguments():
+    """The fields are keywords only: a positional argument is a
+    ConfigError, also next to the keyword it would fill."""
+    with pytest.raises(ConfigError, match="keywords only"):
+        weber.PhysicalConfig(*[1.0] * 15)
+    with pytest.raises(ConfigError, match="keywords only"):
+        weber.PhysicalConfig(2.0, m=2.0)
 
 
 def _preset_coeffs(preset_id, A):
