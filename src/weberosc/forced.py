@@ -1,13 +1,16 @@
 """Forced case x'' + A x' - (a t^2 + b t + c) x = mu by variation of constants.
 
 The Lagrange coefficients c1, c2 are integrals of x2/W and x1/W, which
-have no closed antiderivative.  Each integrand is expanded in a
-Fourier-Bessel series of J0(alpha_k t / t_bar) on [0, t_bar], where
-t_bar is the integrand's first root past the physical horizon, so that
-termwise integration stays exact (the truncation happens after the
-integration, not before).  All coefficients of an expansion come from
-one composite Gauss-Legendre grid: the integrand is evaluated once per
-node, and a fit on half as many panels checks the result.
+have no closed antiderivative.  The Wronskian W has a closed form
+(``weber.envelope_over_wronskian``), so each integrand evaluates one
+member of the pair, E 1F1(-nu/2; 1/2; u^2) or E H_nu(u), and not the
+whole basis.  Each integrand is expanded in a Fourier-Bessel series of
+J0(alpha_k t / t_bar) on [0, t_bar], where t_bar is the integrand's
+first root past the physical horizon, so that termwise integration
+stays exact (the truncation happens after the integration, not
+before).  All coefficients of an expansion come from one composite
+Gauss-Legendre grid: the integrand is evaluated once per node, and a
+fit on half as many panels checks the result.
 """
 
 from dataclasses import dataclass
@@ -16,8 +19,8 @@ import math
 import numpy as np
 
 from . import dynamics, specfun, weber
-from .errors import (ConfigError, ConvergenceError, DegenerateBasisError,
-                     DomainError, RootNotFoundError)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     OverflowRangeError, RootNotFoundError)
 from .weber import ClosedFormSolution, PhysicalConfig, WeberCoefficients
 
 _BRACKET_WINDOW = 5.0
@@ -28,6 +31,9 @@ _ROOT_MAX_ITER = 100
 # largest change of B between the P- and 2P-panel fits, relative to max |B|
 _FIT_REL_TOL = 1e-8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# J0 matrix entries per block of the projection product (2 MB), so the
+# fit's memory does not grow with n_terms^2
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,23 +45,36 @@ class FourierBesselExpansion:
     B: tuple
 
 
-def _basis_over_wronskian(coeffs: WeberCoefficients, t: float):
-    """(x1/W, x2/W) at time t; raises where W vanishes or overflows."""
-    x1, x2, x1dot, x2dot = weber.evaluate_basis(coeffs, t)
-    w = x1 * x2dot - x2 * x1dot
-    if w == 0.0 or not math.isfinite(w):
-        raise DegenerateBasisError("Wronskian is %r at t = %g" % (w, t))
-    return x1 / w, x2 / w
+def _over_wronskian(coeffs: WeberCoefficients, t: float, member) -> float:
+    """member(nu, u(t)) E(t) / W(t), with the closed-form W of
+    ``weber.envelope_over_wronskian``: one member of the pair, and not
+    the whole basis, per call.  A value outside the double range raises
+    ``OverflowRangeError``."""
+    ew = weber.envelope_over_wronskian(coeffs, t)
+    u = (coeffs.b + 2.0 * coeffs.a * t) / (2.0 * coeffs.a ** 0.75)
+    try:
+        v = ew * member(coeffs.beta - 0.5, u)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise OverflowRangeError("integrand overflowed at t = %g" % t, t=t)
+    return v
+
+
+def _kummer(nu, u):
+    return specfun.kummer_1f1(-0.5 * nu, 0.5, u * u)
 
 
 def integrand_c1(coeffs: WeberCoefficients, t: float) -> float:
-    """x2(t) / W(t): the (sign-stripped) derivative of c1 per unit mu."""
-    return _basis_over_wronskian(coeffs, t)[1]
+    """x2(t) / W(t) = E(t) 1F1(-nu/2; 1/2; u^2) / W(t): the
+    (sign-stripped) derivative of c1 per unit mu."""
+    return _over_wronskian(coeffs, t, _kummer)
 
 
 def integrand_c2(coeffs: WeberCoefficients, t: float) -> float:
-    """x1(t) / W(t): the derivative of c2 per unit mu."""
-    return _basis_over_wronskian(coeffs, t)[0]
+    """x1(t) / W(t) = E(t) H_nu(u) / W(t): the derivative of c2 per unit
+    mu."""
+    return _over_wronskian(coeffs, t, specfun.hermite_h)
 
 
 def _bracketed_root(fn, a, fa, b, fb):
@@ -118,7 +137,11 @@ def _weighted_projections(fn, t_bar: float, alphas, panels: int):
     t = (h * np.arange(panels)[:, None] + 0.5 * h * (_GL_NODES + 1.0)).ravel()
     w = np.tile(0.5 * h * _GL_WEIGHTS, panels)
     f = np.array([fn(ti) for ti in t.tolist()])
-    return specfun.bessel_j0(np.outer(alphas, t / t_bar)) @ (w * t * f)
+    wtf = w * t * f
+    s = t / t_bar
+    rows = max(1, _BLOCK_ENTRIES // s.size)
+    return np.concatenate([specfun.bessel_j0(np.outer(alphas[i:i + rows], s))
+                           @ wtf for i in range(0, alphas.size, rows)])
 
 
 def fourier_bessel_fit(fn, t_bar: float, n_terms: int) -> FourierBesselExpansion:
@@ -184,6 +207,9 @@ def variation_constants(coeffs: WeberCoefficients, mu: float,
     """Build the particular solution of the mu-forced equation."""
     if n_terms is None:
         n_terms = default_n_terms(coeffs.A)
+    # c1 and c2 at t_bar need int_0^alpha_N J0 of the last term: an
+    # expansion past the kernel's cap is refused before it is fitted
+    specfun.bessel_j0_integral(specfun.bessel_j0_zero(n_terms))
     tb1 = find_tbar(coeffs, t_end)
     tb2 = find_root_after(lambda t: integrand_c2(coeffs, t), t_end)
     exp1 = fourier_bessel_fit(lambda t: integrand_c1(coeffs, t), tb1, n_terms)

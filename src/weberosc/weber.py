@@ -216,6 +216,43 @@ def wronskian(coeffs: WeberCoefficients, t: float) -> float:
     return x1 * x2dot - x2 * x1dot
 
 
+def envelope_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
+    """E(t) / W(t) for the pair of ``evaluate_basis``, with W in closed form.
+
+    In u, H_nu and M = 1F1(-nu/2; 1/2; u^2) solve y'' - 2u y' + 2 nu y = 0,
+    so by Abel's identity their Wronskian is W_u(0) e^{u^2}, with
+    W_u(0) = -H_nu'(0) = 2^{nu+1} sqrt(pi) / Gamma(-nu/2) since M(0) = 1
+    and M'(0) = 0.  With x_i = E y_i and du/dt = a^{1/4} this gives
+    W(t) = a^{1/4} 2^{nu+1} sqrt(pi) e^{b^2/(4 a^{3/2})} e^{-At} / Gamma(-nu/2).
+    The quotient is one exp of ln E - ln|W|, so neither E nor
+    e^{b^2/(4 a^{3/2})} = e^{omega0/|q|} overflows on its own.  Raises
+    ``DegenerateBasisError`` at even nu, where W is identically 0, and
+    where the quotient leaves the double range.
+    """
+    a, b, A, beta = coeffs.a, coeffs.b, coeffs.A, coeffs.beta
+    if not a > 0.0:
+        raise ConfigError("closed-form Wronskian requires a > 0 (got a = %g)"
+                          % a)
+    k = 0.25 - 0.5 * beta  # -nu/2
+    if k <= 0.0 and k == math.floor(k):
+        raise DegenerateBasisError(
+            "Wronskian is identically 0 at even nu = %r" % (beta - 0.5))
+    # 1/Gamma(k) < 0 exactly where k lies in (-1, 0), (-3, -2), ...
+    sign = -1.0 if k < 0.0 and math.floor(k) % 2 else 1.0
+    sqa = math.sqrt(a)
+    try:
+        ln_env = -(a * t * t + t * (b + sqa * A)) / (2.0 * sqa)
+        ln_w = (0.25 * math.log(a) + (beta + 0.5) * math.log(2.0)
+                + 0.5 * math.log(math.pi) + b * b / (4.0 * a * sqa) - A * t
+                - math.lgamma(k))
+        q = math.exp(ln_env - ln_w)
+    except OverflowError:
+        q = math.inf
+    if not math.isfinite(q):
+        raise DegenerateBasisError("E/W is %r at t = %g" % (q, t))
+    return sign * q
+
+
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """General solution C1 x1 + C2 x2 fitted to initial conditions."""

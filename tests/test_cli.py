@@ -309,6 +309,14 @@ def test_forced_rejects_constant_branch(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_forced_refuses_overlong_expansion(tmp_path):
+    """3,184 terms reach past the J0-integral cap: exit 2 before the fit,
+    and no CSV."""
+    assert cli.main(["forced", "--mu", "1", "--terms", "3184",
+                     "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_forced_numeric_failure_exit_code(tmp_path):
     """Preset IV at A = 0.5 out to t_end = 25 needs a Kummer series of
     more than 500 terms while searching for t_bar: a typed numeric

@@ -158,15 +158,65 @@ def test_fit_of_unresolved_integrand_raises():
                                   tb, 10)
 
 
-def test_integrands_reject_degenerate_wronskian(sample_coeffs, monkeypatch):
-    """W = 0 exactly, then W overflowing to inf: a typed error, not a
-    ZeroDivisionError or a silent 0."""
-    for basis in ((1.0, 2.0, 3.0, 6.0), (1e200, 1.0, -1.0, 1e200)):
-        monkeypatch.setattr(weber, "evaluate_basis", lambda c, t: basis)
-        with pytest.raises(DegenerateBasisError):
-            forced.integrand_c1(sample_coeffs, 1.0)
-        with pytest.raises(DegenerateBasisError):
-            forced.integrand_c2(sample_coeffs, 1.0)
+def test_integrands_reject_degenerate_wronskian(sample_coeffs):
+    """W identically 0 at even nu (beta = 12.5, nu = 12, where 1/Gamma(-6)
+    is exactly 0), then an E/W beyond the double range (beta = -1000,
+    where 1/Gamma(500.25) is): a typed error, not a ZeroDivisionError or
+    a silent 0."""
+    for beta in (12.5, -1000.0):
+        co = replace(sample_coeffs, beta=beta)
+        for integrand in (forced.integrand_c1, forced.integrand_c2):
+            with pytest.raises(DegenerateBasisError):
+                integrand(co, 1.0)
+
+
+@pytest.mark.parametrize("integrand, count", [(forced.integrand_c1, 1),
+                                              (forced.integrand_c2, 2)])
+def test_integrand_sums_one_member(sample_coeffs, monkeypatch, integrand,
+                                   count):
+    """With W in closed form, x2/W sums only the Kummer series and x1/W
+    only H_nu's two (u < 0 on the sample arm before t = 10), where the
+    whole basis would sum four."""
+    sums = []
+    kernel = specfun._hyp1f1_series
+
+    def counting(*args):
+        sums.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(specfun, "_hyp1f1_series", counting)
+    for t in (0.0, 2.5, 5.0, 9.9):
+        sums.clear()
+        integrand(sample_coeffs, t)
+        assert len(sums) == count
+
+
+def test_integrands_are_basis_over_computed_wronskian(sample_coeffs):
+    """x2/W and x1/W from one member and the closed-form W agree with the
+    whole basis over its computed Wronskian."""
+    for t in (0.0, 1.0, 3.0, 7.0, 9.5, 10.4):
+        x1, x2, _, _ = weber.evaluate_basis(sample_coeffs, t)
+        w = weber.wronskian(sample_coeffs, t)
+        assert forced.integrand_c1(sample_coeffs, t) == pytest.approx(
+            x2 / w, rel=1e-12)
+        assert forced.integrand_c2(sample_coeffs, t) == pytest.approx(
+            x1 / w, rel=1e-12)
+
+
+def test_overlong_expansion_refused_before_fit(sample_coeffs, monkeypatch):
+    """alpha_3184 = 10002.0 lies past the J0-integral cap, so 3,184 terms
+    are refused before a single integrand evaluation."""
+    calls = []
+
+    def counting(coeffs, t):
+        calls.append(t)
+        return 1.0
+
+    monkeypatch.setattr(forced, "integrand_c1", counting)
+    monkeypatch.setattr(forced, "integrand_c2", counting)
+    with pytest.raises(DomainError, match="exceeds"):
+        forced.variation_constants(sample_coeffs, 1.0, n_terms=3184)
+    assert calls == []
 
 
 def test_eval_expansion_parabola():

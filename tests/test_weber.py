@@ -400,6 +400,21 @@ def test_basis_is_composition_of_public_functions(coeffs, t_end):
         assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
+@pytest.mark.parametrize("coeffs", [
+    _preset_coeffs(p, A)[0] for p in ("I", "II", "III", "IV")
+    for A in (0.0, 0.5, 1.0, 2.0)] + [_ROUNDING_APART])
+def test_closed_form_wronskian_matches_computed(coeffs):
+    """E/W with W in closed form equals E over the computed
+    x1 x2' - x2 x1' to 1e-12 relative, sign included: 1/Gamma(-nu/2)
+    takes both signs on the presets, and is positive for beta < 1/2."""
+    a, b, A = coeffs.a, coeffs.b, coeffs.A
+    sqa = math.sqrt(a)
+    for t in (0.0, 1.0, 3.0):
+        env = math.exp(-(a * t * t + t * (b + sqa * A)) / (2.0 * sqa))
+        assert weber.envelope_over_wronskian(coeffs, t) == pytest.approx(
+            env / weber.wronskian(coeffs, t), rel=1e-12)
+
+
 def test_basis_point_sums_four_series(monkeypatch):
     """x1, x2 and their derivatives need four distinct 1F1 series where
     u < 0 (presets I and II); where u >= 0 (presets III and IV) x1 comes
