@@ -14,16 +14,18 @@ Every series uses Kahan-compensated summation and stops once the term
 magnitude stays below ``_REL_TOL`` times the partial sum for three
 consecutive terms (single-term tests are unsafe at the argument sizes
 this problem reaches, |z| ~ 40 and beyond); a series that has not
-stopped after ``_MAX_TERMS`` terms raises ``ConvergenceError``.  A 1F1
-series whose largest term exceeds its sum by more than ``_WIDE_CANCEL``
-is summed again at 34 significant digits in the standard library's
-:mod:`decimal`, which the closed-form transient path loads anyway.
+stopped after ``_MAX_TERMS`` terms raises ``ConvergenceError``.  Where a
+derivative is wanted as well, one pass over the terms t_n of a 1F1
+series (a chain) keeps a second sum, sum (c0 + c1 n) t_n, beside the
+value (DLMF 13.3(ii)); each sum stops by its own terms.  A 1F1 sum whose
+largest term exceeds it by more than ``_WIDE_CANCEL`` is summed again
+exactly, in integer fixed point, and rounded once to a double.
 """
 
-from decimal import Context, Decimal, localcontext
 import functools
 import math
 import numbers
+import sys
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -44,11 +46,16 @@ _MAX_TERMS = 500
 _REL_TOL = 1e-14
 
 # A plain double summation keeps ~eps * (largest term / sum) relative
-# accuracy; beyond this magnitude ratio the 1F1 series is re-summed at
-# 34 significant digits in decimal arithmetic (localcontext works on a
-# copy of _WIDE, so concurrent reruns share no state).
+# accuracy; beyond this magnitude ratio a 1F1 sum is summed again in
+# integers, each term floored to a multiple of 2^-_FIX_BITS (~7.5e-37):
+# with t_0 = 1, those floors stay far below an ulp of the sums that
+# reach the rerun
 _WIDE_CANCEL = 1e4
-_WIDE = Context(prec=34)
+_FIX_BITS = 120
+
+# a first term a z / b below the normal range has lost digits that
+# dividing the derivative's sum by z would expose
+_NORMAL_MIN = sys.float_info.min
 
 
 def _exp_sinh_sides():
@@ -118,41 +125,118 @@ def _hyp1f1_series(a, b, z):
             below += 1
             if below == 3:
                 if max_mag > _WIDE_CANCEL * abs(s):
-                    return _hyp1f1_series_wide(a, b, z)
+                    return _hyp1f1_chain_exact(a, b, z, 0, 0)[0]
                 return s
         else:
             below = 0
-    raise ConvergenceError(
-        "1F1 series: tolerance %g not met within %d terms at "
-        "(a=%g, b=%g, z=%g)" % (rel_tol, _MAX_TERMS, a, b, z)
-    )
+    raise _not_converged(a, b, z)
 
 
-def _hyp1f1_series_wide(a, b, z):
-    """The 1F1 series summed at 34 significant digits, for
-    cancellation-heavy cases.
-
-    The alternating regime (very negative a, large z) can lose up to
-    ~1e14 of relative magnitude between the largest term and the sum;
-    34 digits absorb that with room to spare.
-    """
-    with localcontext(_WIDE):
-        da, db, dz = Decimal(a), Decimal(b), Decimal(z)
-        rel_tol = Decimal(_REL_TOL)
-        term = s = Decimal(1)
-        below = 0
-        for n in range(_MAX_TERMS):
-            term = term * (da + n) * dz / ((db + n) * (n + 1))
-            s += term
-            if abs(term) <= rel_tol * abs(s):
-                below += 1
-                if below == 3:
-                    return float(s)
-            else:
-                below = 0
-    raise ConvergenceError(
+def _not_converged(a, b, z):
+    return ConvergenceError(
         "1F1 series: tolerance %g not met within %d terms at "
         "(a=%g, b=%g, z=%g)" % (_REL_TOL, _MAX_TERMS, a, b, z))
+
+
+def _hyp1f1_chain(a, b, z, c0, c1):
+    """(sum t_n, sum (c0 + c1 n) t_n) over the terms t_n of 1F1(a; b; z),
+    from one pass over the terms.
+
+    Each sum is Kahan-compensated, stops by the rule of
+    ``_hyp1f1_series`` applied to its own terms and is frozen there, so
+    the first is ``_hyp1f1_series(a, b, z)`` bit for bit.  Each sum is
+    also checked for cancellation on its own, and one that fails sends
+    the chain to the exact rerun.  The rerun's second sum is then kept
+    either way; its first replaces the float one only where that one
+    failed, so that the value stays ``_hyp1f1_series``'s.
+    """
+    rel_tol = _REL_TOL
+    term = 1.0
+    s = 1.0
+    comp = 0.0
+    top = 1.0
+    below = 0
+    sc = float(c0)
+    compc = 0.0
+    topc = abs(sc)
+    belowc = 0
+    for n in range(_MAX_TERMS):
+        term *= (a + n) * z / ((b + n) * (n + 1.0))
+        if below < 3:
+            mag = abs(term)
+            if mag > top:
+                top = mag
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            if mag <= rel_tol * abs(s):
+                below += 1
+            else:
+                below = 0
+        if belowc < 3:
+            tc = (c0 + c1 * (n + 1.0)) * term
+            mag = abs(tc)
+            if mag > topc:
+                topc = mag
+            y = tc - compc
+            t = sc + y
+            compc = (t - sc) - y
+            sc = t
+            if mag <= rel_tol * abs(sc):
+                belowc += 1
+            else:
+                belowc = 0
+        if below == 3 and belowc == 3:
+            break
+    else:
+        raise _not_converged(a, b, z)
+    wide = top > _WIDE_CANCEL * abs(s)
+    if wide or topc > _WIDE_CANCEL * abs(sc):
+        exact, sc = _hyp1f1_chain_exact(a, b, z, c0, c1)
+        if wide:
+            s = exact
+    return s, sc
+
+
+def _hyp1f1_chain_exact(a, b, z, c0, c1):
+    """The two sums of ``_hyp1f1_chain``, for cancellation-heavy cases,
+    summed in integer fixed point.
+
+    a, b and z enter as the exact rationals their doubles are; each
+    term, scaled by 2^_FIX_BITS, is floor-divided once per step, and
+    each sum stops by the float rule (with _REL_TOL as its exact
+    rational) and is rounded once to a double by int / int.
+    """
+    pa, qa = a.as_integer_ratio()
+    pb, qb = b.as_integer_ratio()
+    pz, qz = z.as_integer_ratio()
+    tol_num, tol_den = _REL_TOL.as_integer_ratio()
+    # t_{n+1} / t_n = (pa + n qa) pz qb / ((pb + n qb) (n + 1) qa qz)
+    zq = pz * qb
+    dq = qa * qz
+    one = 1 << _FIX_BITS
+    term = s = one
+    sc = c0 * one
+    below = belowc = 0
+    for n in range(_MAX_TERMS):
+        term = term * (pa + n * qa) * zq // ((pb + n * qb) * (n + 1) * dq)
+        if below < 3:
+            s += term
+            if abs(term) * tol_den <= tol_num * abs(s):
+                below += 1
+            else:
+                below = 0
+        if belowc < 3:
+            tc = (c0 + c1 * (n + 1)) * term
+            sc += tc
+            if abs(tc) * tol_den <= tol_num * abs(sc):
+                belowc += 1
+            else:
+                belowc = 0
+        if below == 3 and belowc == 3:
+            return s / one, sc / one
+    raise _not_converged(a, b, z)
 
 
 def _hyp1f1(a, b, z):
@@ -166,50 +250,86 @@ def _hyp1f1(a, b, z):
     return _hyp1f1_series(a, b, z)
 
 
-def kummer_1f1(a, b, z):
-    """Kummer confluent hypergeometric 1F1(a; b; z) for real arguments."""
+def _kummer_pair(a, b, z):
+    """(1F1(a; b; z), d/dz 1F1(a; b; z)).
+
+    For z > 0 both come from one chain, the derivative as
+    sum n t_n / z.  Otherwise the derivative is the series
+    (a/b) 1F1(a + 1; b + 1; z) of its own: for z < 0, where the value
+    goes through the Kummer transformation and F - F' would cancel; at
+    z = 0; and where the first term a z / b is not a normal double,
+    whose lost digits the division by z would expose.
+    """
+    t1 = a * z
+    if z > 0.0 and abs(t1) >= _NORMAL_MIN and abs(t1 / b) >= _NORMAL_MIN:
+        s, sn = _hyp1f1_chain(a, b, z, 0, 1)
+        return s, sn / z
+    return _hyp1f1(a, b, z), (a / b) * _hyp1f1(a + 1.0, b + 1.0, z)
+
+
+def _check_pole(b):
     if _is_nonpositive_integer(b):
         raise PoleError("1F1 pole: b = %g is a non-positive integer" % b)
+
+
+def kummer_1f1(a, b, z):
+    """Kummer confluent hypergeometric 1F1(a; b; z) for real arguments."""
+    _check_pole(b)
     return _hyp1f1(a, b, z)
 
 
 def kummer_1f1_dz(a, b, z):
-    """d/dz 1F1(a; b; z) = (a/b) * 1F1(a+1; b+1; z)."""
-    if _is_nonpositive_integer(b):
-        raise PoleError("1F1 pole: b = %g is a non-positive integer" % b)
-    return (a / b) * _hyp1f1(a + 1.0, b + 1.0, z)
+    """d/dz 1F1(a; b; z) = (a/b) * 1F1(a+1; b+1; z); exactly a/b at 0."""
+    _check_pole(b)
+    return _kummer_pair(a, b, z)[1]
 
 
-def _series_in(w):
-    """s(a, b) = 1F1(a; b; w), summing each distinct (a, b) only once."""
-    sums = {}
-
-    def s(a, b):
-        v = sums.get((a, b))
-        if v is None:
-            v = sums[(a, b)] = _hyp1f1(a, b, w)
-        return v
-
-    return s
+def _hermite_weights(nu):
+    """(g1, g2, sqrt(pi) 2^nu) with g1 = 1/Gamma((1-nu)/2) and
+    g2 = 1/Gamma(-nu/2), the weights of H_nu's two Kummer members."""
+    return (reciprocal_gamma(0.5 * (1.0 - nu)), reciprocal_gamma(-0.5 * nu),
+            math.sqrt(math.pi) * math.pow(2.0, nu))
 
 
-def _hermite(nu, z, series):
+def _hermite(nu, z):
     """H_nu(z) = sqrt(pi) 2^nu (g1 F(-nu/2; 1/2) - g2 2z F((1-nu)/2; 3/2))
-    with F(a; b) = series(a, b) = 1F1(a; b; z^2), g1 = 1/Gamma((1-nu)/2)
-    and g2 = 1/Gamma(-nu/2).
+    with F(a; b) = 1F1(a; b; z^2), for z < 0.
 
     The 1/Gamma weights make the expression total: a term whose weight
     sits at a pole is exactly zero, and its series is not summed.
     """
-    g1 = reciprocal_gamma(0.5 * (1.0 - nu))
-    g2 = reciprocal_gamma(-0.5 * nu)
+    g1, g2, scale = _hermite_weights(nu)
+    w = z * z
     t1 = 0.0
     if g1 != 0.0:
-        t1 = g1 * series(-0.5 * nu, 0.5)
+        t1 = g1 * _hyp1f1_series(-0.5 * nu, 0.5, w)
     t2 = 0.0
     if g2 != 0.0:
-        t2 = g2 * 2.0 * z * series(0.5 * (1.0 - nu), 1.5)
-    return math.sqrt(math.pi) * math.pow(2.0, nu) * (t1 - t2)
+        t2 = g2 * 2.0 * z * _hyp1f1_series(0.5 * (1.0 - nu), 1.5, w)
+    return scale * (t1 - t2)
+
+
+def _hermite_with_dz(nu, z, kummer):
+    """(H_nu(z), d/dz H_nu(z)) for z < 0, given kummer = (M, M') with
+    M = F(-nu/2; 1/2) and M' = dM/dw in w = z^2.
+
+    One chain more, of F = F((1-nu)/2; 3/2), gives F and, as
+    sum (2n + 1) t_n, d/dz[z F] = F((1-nu)/2; 1/2) (DLMF 13.3(ii)).
+    Then H = sqrt(pi) 2^nu (g1 M - g2 2z F) as in ``_hermite``, bit for
+    bit, and H' = sqrt(pi) 2^nu (g1 2z M' - 2 g2 d/dz[z F]).
+    """
+    g1, g2, scale = _hermite_weights(nu)
+    t1 = dt1 = 0.0
+    if g1 != 0.0:
+        m, dm = kummer
+        t1 = g1 * m
+        dt1 = g1 * 2.0 * z * dm
+    t2 = dt2 = 0.0
+    if g2 != 0.0:
+        f, df = _hyp1f1_chain(0.5 * (1.0 - nu), 1.5, z * z, 1, 2)
+        t2 = g2 * 2.0 * z * f
+        dt2 = 2.0 * g2 * df
+    return scale * (t1 - t2), scale * (dt1 - dt2)
 
 
 def _hermite_recessive(nu, u):
@@ -277,14 +397,14 @@ def hermite_h(nu, z):
     """Hermite function H_nu(z) of arbitrary real order nu."""
     if z >= 0.0:
         return _hermite_recessive(nu, z)[0]
-    return _hermite(nu, z, _series_in(z * z))
+    return _hermite(nu, z)
 
 
 def hermite_h_dz(nu, z):
     """d/dz H_nu(z) = 2 nu H_{nu-1}(z)."""
     if z >= 0.0:
         return 2.0 * nu * _hermite_recessive(nu, z)[1]
-    return 2.0 * nu * _hermite(nu - 1.0, z, _series_in(z * z))
+    return _hermite_kummer(nu, z)[1]
 
 
 def _hermite_kummer(nu, z):
@@ -293,24 +413,16 @@ def _hermite_kummer(nu, z):
 
     Each value equals, bit for bit, its own call of ``hermite_h``,
     ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``.  The Kummer
-    function and its derivative need F(k; 1/2) and F(k + 1; 3/2), with
-    F(a; b) = 1F1(a; b; w).  For z >= 0 both Hermite values come from
-    one ``_hermite_recessive`` call, so those two series are all that is
-    summed.  For z < 0 the Hermite pair shares them too: F(k; 1/2) is
-    H_nu's first term and F(k + 1; 3/2) H_{nu-1}'s second, so four
-    series are summed instead of six (five for some |nu| < 1/2, where
-    k + 1 and (1 - (nu - 1))/2 round to neighbouring doubles).
+    function and its derivative are one chain.  For z >= 0 both Hermite
+    values come from one ``_hermite_recessive`` call, so that chain is
+    all that is summed; for z < 0 H_nu shares it and adds one chain
+    more.
     """
-    series = _series_in(z * z)
-    k = -0.5 * nu
+    kummer = _kummer_pair(-0.5 * nu, 0.5, z * z)
     if z >= 0.0:
         h, h_prev = _hermite_recessive(nu, z)
-    else:
-        h = _hermite(nu, z, series)
-        h_prev = _hermite(nu - 1.0, z, series)
-    return (h, 2.0 * nu * h_prev,
-            series(k, 0.5),
-            (k / 0.5) * series(k + 1.0, 1.5))
+        return (h, 2.0 * nu * h_prev) + kummer
+    return _hermite_with_dz(nu, z, kummer) + kummer
 
 
 def _float_if_scalar(r):
@@ -334,16 +446,25 @@ def bessel_j1(z):
 
 
 def bessel_j0_zeros(n):
-    """ndarray of the first n positive zeros of J0 (n >= 1), within a few
-    ulp of the exact zeros.
+    """Read-only ndarray of the first n positive zeros of J0 (n >= 1),
+    within a few ulp of the exact zeros.
 
     Entry k is bit-identical for every n >= k, so one call serves a
-    whole expansion.
+    whole expansion; each n is computed once and then shared.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError("J0 zeros: need an integer n >= 1, got %r" % (n,))
+    return _j0_zeros(int(n))
+
+
+# a process uses a few expansion sizes; the bound keeps one that asks
+# for many different n from holding every array
+@functools.lru_cache(maxsize=16)
+def _j0_zeros(n):
     from scipy.special import jn_zeros
-    return jn_zeros(0, n)
+    zeros = jn_zeros(0, n)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def bessel_j0_zero(k):

@@ -177,7 +177,8 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     zeros) and numpy are imported only where the forced case needs them,
     and the CLI imports the forced case and the oracle only to run them.
     Running every preset and the transient and polar commands loads
-    neither either."""
+    neither either, and ``weberosc.specfun`` on its own, whose exact
+    rerun sums in integers, does not load ``decimal`` either."""
     import weberosc
     src = os.path.dirname(os.path.dirname(weberosc.__file__))
     env = dict(os.environ)
@@ -191,10 +192,14 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
            "    assert cli.main(argv + ['--preset', 'I', '--samples', '11',\n"
            "                            '--out', %r]) == 0"
            % str(tmp_path))
-    for code in ("import weberosc.dynamics", "import weberosc.cli", run):
+    light = "{'numpy', 'scipy'}"
+    for code, banned in (("import weberosc.specfun",
+                          "{'numpy', 'scipy', 'decimal'}"),
+                         ("import weberosc.dynamics", light),
+                         ("import weberosc.cli", light), (run, light)):
         code += ("\nimport sys\n"
                  "print(sorted({m.split('.')[0] for m in sys.modules} "
-                 "& {'numpy', 'scipy'}))")
+                 "& %s))" % banned)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True,
                              timeout=120)

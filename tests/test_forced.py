@@ -312,6 +312,26 @@ def test_mu_linearity(sample_coeffs):
         assert v2 == pytest.approx(2.0 * v1, rel=1e-10, abs=1e-15)
 
 
+def test_variation_constants_computes_j0_zeros_once(sample_coeffs,
+                                                    monkeypatch):
+    """The term-count check and both fits share one J0 zeros array: a
+    fresh n costs one jn_zeros call, and a repeat costs none."""
+    import scipy.special
+    calls = []
+    jn_zeros = scipy.special.jn_zeros
+
+    def counting(*args):
+        calls.append(args)
+        return jn_zeros(*args)
+
+    monkeypatch.setattr(scipy.special, "jn_zeros", counting)
+    specfun._j0_zeros.cache_clear()
+    forced.variation_constants(sample_coeffs, 1.0, n_terms=12)
+    assert calls == [(0, 12)]
+    forced.variation_constants(sample_coeffs, 1.0, n_terms=12)
+    assert calls == [(0, 12)]
+
+
 def test_zero_mu_gives_zero_particular(sample_coeffs):
     ps = forced.variation_constants(sample_coeffs, 0.0, n_terms=10)
     for t in (0.0, 2.0, 8.0):

@@ -27,7 +27,7 @@ KUMMER_REFS = [
     ((0.5, 1.5, 40.0), 2980568725898933.0),
     ((-0.3, 0.7, -12.5), 2.7692758755564095),
     # preset III basis series (A = 0.5, t = 2, 5, 8): the terms cancel by
-    # 1e5 to 5e10, so these values come from the 34-digit rerun
+    # 1e5 to 5e10, so these values come from the exact integer rerun
     ((-24.697916666666664, 0.5, 67.5), -452864921486823.6),
     ((-24.197916666666664, 1.5, 43.2), -32112276.104346737),
     ((-23.697916666666664, 1.5, 97.20000000000002), 3.0644419579606196e+19),
@@ -35,7 +35,7 @@ KUMMER_REFS = [
     ((-24.697916666666664, 0.5, 30.0), -1433.2221586358403),
 ]
 
-# (a, b, z) of KUMMER_REFS that take the 34-digit rerun
+# (a, b, z) of KUMMER_REFS that take the exact integer rerun
 KUMMER_WIDE_ARGS = KUMMER_REFS[-4:]
 
 HERMITE_REFS = [
@@ -138,13 +138,13 @@ def test_kummer_1f1_reference_values(args, expected):
 @pytest.mark.parametrize("args,expected", KUMMER_WIDE_ARGS)
 def test_kummer_1f1_wide_path_runs(monkeypatch, args, expected):
     reruns = []
-    rerun = specfun._hyp1f1_series_wide
+    rerun = specfun._hyp1f1_chain_exact
 
     def counting(*a):
         reruns.append(a)
         return rerun(*a)
 
-    monkeypatch.setattr(specfun, "_hyp1f1_series_wide", counting)
+    monkeypatch.setattr(specfun, "_hyp1f1_chain_exact", counting)
     assert specfun._hyp1f1(*args) == pytest.approx(expected, rel=1e-12)
     assert len(reruns) == 1
 
@@ -193,6 +193,19 @@ def test_series_at_origin():
     zero = specfun.bessel_j0_integral(np.zeros(3))
     assert isinstance(zero, np.ndarray)
     assert zero.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_kummer_dz_at_and_near_origin():
+    """At z = 0 the derivative is a/b exactly; where the first term
+    a z / b leaves the normal range the derivative is not its chain's
+    sum over z, whose lost digits that division would expose."""
+    for a, b in ((0.3, 1.2), (-7.875, 0.5), (2.5, 1.5)):
+        assert specfun.kummer_1f1_dz(a, b, 0.0) == a / b
+        assert specfun.kummer_1f1_dz(a, b, 5e-324) == a / b
+        assert specfun.kummer_1f1_dz(a, b, 1e-300) == pytest.approx(
+            a / b, rel=1e-15)
+    # 1F1(0; b; z) = 1: a zero first term at any z
+    assert specfun.kummer_1f1_dz(0.0, 0.5, 40.0) == 0.0
 
 
 def test_parity():
@@ -319,6 +332,11 @@ def test_j0_zeros_contract():
             specfun.bessel_j0_zeros(n)
     assert specfun.bessel_j0_zeros(np.int64(3)).tolist() == \
         specfun.bessel_j0_zeros(3).tolist()
+    # each n is computed once and shared, so it cannot be written to
+    zeros = specfun.bessel_j0_zeros(7)
+    assert specfun.bessel_j0_zeros(7) is zeros
+    with pytest.raises(ValueError):
+        zeros[0] = 0.0
 
 
 # ---------------------------------------------------------------- hypothesis
@@ -337,16 +355,75 @@ def test_kummer_ode_residual_random(a, b, z):
 @given(a=st.floats(-30.0, -5.0), b=st.sampled_from([0.5, 1.5]),
        z=st.floats(10.0, 110.0))
 def test_kummer_1f1_wide_rerun_against_mpmath(a, b, z):
-    """Where cancellation sends a series to the 34-digit rerun, the
+    """Where cancellation sends a series to the exact integer rerun, the
     result is a float within 1e-13 of mpmath at 40 digits."""
-    with mock.patch.object(specfun, "_hyp1f1_series_wide",
-                           wraps=specfun._hyp1f1_series_wide) as rerun:
+    with mock.patch.object(specfun, "_hyp1f1_chain_exact",
+                           wraps=specfun._hyp1f1_chain_exact) as rerun:
         y = specfun.kummer_1f1(a, b, z)
     assume(rerun.called)
     assert type(y) is float
     with mpmath.workdps(40):
         ref = mpmath.hyp1f1(a, b, z)
         assert float(abs((y - ref) / ref)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-30.0, 5.0), b=st.sampled_from([0.5, 1.5, 2.5]),
+       z=st.floats(0.0, 110.0), companion=st.sampled_from([(0, 1), (1, 2)]))
+def test_chain_value_is_kummer_1f1(a, b, z, companion):
+    """The value a chain sums beside its companion is ``kummer_1f1``, bit
+    for bit, whether or not either sum reruns."""
+    value = specfun._hyp1f1_chain(a, b, z, *companion)[0]
+    assert value.hex() == specfun.kummer_1f1(a, b, z).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-30.0, -5.0), b=st.sampled_from([0.5, 1.5]),
+       z=st.floats(10.0, 110.0))
+def test_chain_derivatives_against_mpmath(a, b, z):
+    """Over the cancelling range, kummer_1f1_dz(a, b, z) and
+    hermite_h_dz(-2a, -sqrt(z)) against mpmath at 40 digits, each error
+    measured against its pair's size, so that a zero of the derivative
+    does not count as a failure: sqrt(M^2 + z M'^2 / |a|) for M = 1F1 and
+    sqrt(H^2 + H'^2 / (2 |nu|)) for H = H_nu.
+
+    Where every chain a derivative needs reran in integers, the error is
+    within 1e-13 (at most 2.2e-14 in 10,000 draws).  Elsewhere a float
+    sum may hold terms up to ``_WIDE_CANCEL`` times larger than itself
+    (at most 2.1e-12 in the same draws), so the bound is 5e-12.
+
+    H_nu's reference takes the weights 1/Gamma((1-nu)/2) and
+    1/Gamma(-nu/2) as the doubles the library uses, so that only the
+    sums are checked here: near an even nu, 1/Gamma(-nu/2) loses
+    relative accuracy (3.6e-9 at -nu/2 = -5.0000001), from sin(pi x)
+    taken on the unreduced pi x.
+    """
+    with mock.patch.object(specfun, "_hyp1f1_chain_exact",
+                           wraps=specfun._hyp1f1_chain_exact) as rerun:
+        yp = specfun.kummer_1f1_dz(a, b, z)
+        k_reruns = rerun.call_count
+        nu, u = -2.0 * a, -math.sqrt(z)
+        hp = specfun.hermite_h_dz(nu, u)
+        h_reruns = rerun.call_count - k_reruns
+    g1, g2, _ = specfun._hermite_weights(nu)
+    with mpmath.workdps(40):
+        m = mpmath.hyp1f1(a, b, z)
+        mp = a / mpmath.mpf(b) * mpmath.hyp1f1(a + 1.0, b + 1.0, z)
+        size = mpmath.sqrt(m ** 2 + z * mp ** 2 / abs(a))
+        err = float(abs(yp - mp) * mpmath.sqrt(z / abs(a)) / size)
+        assert err <= (1e-13 if k_reruns else 5e-12)
+
+        w = u * u
+        k, kb = -0.5 * nu, 0.5 * (1.0 - nu)
+        scale = mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** nu
+        h = scale * (g1 * mpmath.hyp1f1(k, 0.5, w)
+                     - g2 * 2 * u * mpmath.hyp1f1(kb, 1.5, w))
+        ref = scale * (g1 * 2 * u * k / mpmath.mpf(0.5)
+                       * mpmath.hyp1f1(k + 1.0, 1.5, w)
+                       - 2 * g2 * mpmath.hyp1f1(kb, 0.5, w))
+        size = mpmath.sqrt(h ** 2 + ref ** 2 / (2.0 * abs(nu)))
+        err = float(abs(hp - ref) / math.sqrt(2.0 * abs(nu)) / size)
+        assert err <= (1e-13 if h_reruns == 2 else 5e-12)
 
 
 @settings(max_examples=60, deadline=None)

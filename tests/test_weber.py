@@ -415,24 +415,46 @@ def test_closed_form_wronskian_matches_computed(coeffs):
             env / weber.wronskian(coeffs, t), rel=1e-12)
 
 
-def test_basis_point_sums_four_series(monkeypatch):
-    """x1, x2 and their derivatives need four distinct 1F1 series where
-    u < 0 (presets I and II); where u >= 0 (presets III and IV) x1 comes
-    from the recessive Hermite branch and only x2's two series remain."""
-    sums = []
-    kernel = specfun._hyp1f1
+def _counting(monkeypatch, name):
+    """Patch specfun.<name> to record each call's arguments."""
+    calls = []
+    kernel = getattr(specfun, name)
 
     def counting(*args):
-        sums.append(args)
+        calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(specfun, "_hyp1f1", counting)
-    for preset_id, count in (("I", 4), ("II", 4), ("III", 2), ("IV", 2)):
+    monkeypatch.setattr(specfun, name, counting)
+    return calls
+
+
+def test_basis_point_sums_one_chain_per_pair(monkeypatch):
+    """x2 and x2' are one 1F1 chain; where u < 0 (presets I and II) x1
+    and x1' add one chain more, and where u >= 0 (presets III and IV)
+    they come from the recessive Hermite branch, so one chain remains."""
+    chains = _counting(monkeypatch, "_hyp1f1_chain")
+    series = _counting(monkeypatch, "_hyp1f1")
+    for preset_id, count in (("I", 2), ("II", 2), ("III", 1), ("IV", 1)):
         coeffs, t_end = _preset_coeffs(preset_id, 0.5)
         for t in (0.0, 0.5 * t_end):
-            sums.clear()
+            chains.clear()
             weber.evaluate_basis(coeffs, t)
-            assert len(sums) == count
-    sums.clear()
+            assert len(chains) == count
+    chains.clear()
     weber.evaluate_basis(_ROUNDING_APART, 3.0)
-    assert len(sums) == 5
+    assert len(chains) == 2
+    assert series == []
+
+
+def test_preset_iii_point_reruns_at_most_one_chain(monkeypatch):
+    """On preset III the Kummer sums cancel by up to 1e14; a basis point
+    reruns its one chain at most once, for M and M' together."""
+    reruns = _counting(monkeypatch, "_hyp1f1_chain_exact")
+    coeffs, t_end = _preset_coeffs("III", 0.5)
+    total = 0
+    for t in np.linspace(0.0, t_end, 21).tolist():
+        reruns.clear()
+        weber.evaluate_basis(coeffs, t)
+        assert len(reruns) <= 1
+        total += len(reruns)
+    assert total > 10
