@@ -10,16 +10,17 @@ Gauss-Legendre panel sum on its ``j0``; scipy is imported on first use
 so that the closed-form transient path never loads numpy or scipy.
 All functions are pure and thread-safe.
 
-Every series uses Kahan-compensated summation and stops once the term
-magnitude stays below ``_REL_TOL`` times the partial sum for three
-consecutive terms (single-term tests are unsafe at the argument sizes
-this problem reaches, |z| ~ 40 and beyond); a series that has not
-stopped after ``_MAX_TERMS`` terms raises ``ConvergenceError``.  Where a
-derivative is wanted as well, one pass over the terms t_n of a 1F1
-series (a chain) keeps a second sum, sum (c0 + c1 n) t_n, beside the
-value (DLMF 13.3(ii)); each sum stops by its own terms.  A 1F1 sum whose
-largest term exceeds it by more than ``_WIDE_CANCEL`` is summed again
-exactly, in integer fixed point, and rounded once to a double.
+Every 1F1 value is summed by one chain: a single pass over the terms
+t_n of the series (DLMF 13.2.2) that keeps two Kahan-compensated sums,
+the value sum t_n and a companion sum (c0 + c1 n) t_n.  The companion
+gives a derivative where one is wanted (DLMF 13.3(ii)); a value alone
+takes c0 = c1 = 0.  Each sum stops once its term magnitude stays below
+``_REL_TOL`` times its partial sum for three consecutive terms
+(single-term tests are unsafe at the argument sizes this problem
+reaches, |z| ~ 40 and beyond); a chain that has not stopped after
+``_MAX_TERMS`` terms raises ``ConvergenceError``.  A sum whose largest
+term exceeds it by more than ``_WIDE_CANCEL`` is summed again exactly,
+in integer fixed point, and rounded once to a double.
 """
 
 import functools
@@ -106,32 +107,6 @@ def reciprocal_gamma(x):
     return math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
-def _hyp1f1_series(a, b, z):
-    rel_tol = _REL_TOL
-    term = 1.0
-    s = 1.0
-    comp = 0.0
-    max_mag = 1.0
-    below = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * z / ((b + n) * (n + 1.0))
-        if abs(term) > max_mag:
-            max_mag = abs(term)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if abs(term) <= rel_tol * abs(s):
-            below += 1
-            if below == 3:
-                if max_mag > _WIDE_CANCEL * abs(s):
-                    return _hyp1f1_chain_exact(a, b, z, 0, 0)[0]
-                return s
-        else:
-            below = 0
-    raise _not_converged(a, b, z)
-
-
 def _not_converged(a, b, z):
     return ConvergenceError(
         "1F1 series: tolerance %g not met within %d terms at "
@@ -140,15 +115,14 @@ def _not_converged(a, b, z):
 
 def _hyp1f1_chain(a, b, z, c0, c1):
     """(sum t_n, sum (c0 + c1 n) t_n) over the terms t_n of 1F1(a; b; z),
-    from one pass over the terms.
+    from one pass over the terms: the value of 1F1 and its companion.
 
-    Each sum is Kahan-compensated, stops by the rule of
-    ``_hyp1f1_series`` applied to its own terms and is frozen there, so
-    the first is ``_hyp1f1_series(a, b, z)`` bit for bit.  Each sum is
-    also checked for cancellation on its own, and one that fails sends
-    the chain to the exact rerun.  The rerun's second sum is then kept
-    either way; its first replaces the float one only where that one
-    failed, so that the value stays ``_hyp1f1_series``'s.
+    Each sum is Kahan-compensated, stops by the module's rule applied
+    to its own terms and is frozen there, so the value does not depend
+    on c0 and c1.  Each sum is also checked for cancellation on its own,
+    and one that fails sends the chain to the exact rerun.  The rerun's
+    companion is then kept either way; its value replaces the float one
+    only where that one failed.
     """
     rel_tol = _REL_TOL
     term = 1.0
@@ -246,8 +220,8 @@ def _hyp1f1(a, b, z):
     1F1(a;b;z) = e^z 1F1(b-a;b;-z) so the summed tail never alternates.
     """
     if z < 0.0:
-        return math.exp(z) * _hyp1f1_series(b - a, b, -z)
-    return _hyp1f1_series(a, b, z)
+        return math.exp(z) * _hyp1f1_chain(b - a, b, -z, 0, 0)[0]
+    return _hyp1f1_chain(a, b, z, 0, 0)[0]
 
 
 def _kummer_pair(a, b, z):
@@ -302,34 +276,11 @@ def _hermite(nu, z):
     w = z * z
     t1 = 0.0
     if g1 != 0.0:
-        t1 = g1 * _hyp1f1_series(-0.5 * nu, 0.5, w)
+        t1 = g1 * _hyp1f1_chain(-0.5 * nu, 0.5, w, 0, 0)[0]
     t2 = 0.0
     if g2 != 0.0:
-        t2 = g2 * 2.0 * z * _hyp1f1_series(0.5 * (1.0 - nu), 1.5, w)
+        t2 = g2 * 2.0 * z * _hyp1f1_chain(0.5 * (1.0 - nu), 1.5, w, 0, 0)[0]
     return scale * (t1 - t2)
-
-
-def _hermite_with_dz(nu, z, kummer):
-    """(H_nu(z), d/dz H_nu(z)) for z < 0, given kummer = (M, M') with
-    M = F(-nu/2; 1/2) and M' = dM/dw in w = z^2.
-
-    One chain more, of F = F((1-nu)/2; 3/2), gives F and, as
-    sum (2n + 1) t_n, d/dz[z F] = F((1-nu)/2; 1/2) (DLMF 13.3(ii)).
-    Then H = sqrt(pi) 2^nu (g1 M - g2 2z F) as in ``_hermite``, bit for
-    bit, and H' = sqrt(pi) 2^nu (g1 2z M' - 2 g2 d/dz[z F]).
-    """
-    g1, g2, scale = _hermite_weights(nu)
-    t1 = dt1 = 0.0
-    if g1 != 0.0:
-        m, dm = kummer
-        t1 = g1 * m
-        dt1 = g1 * 2.0 * z * dm
-    t2 = dt2 = 0.0
-    if g2 != 0.0:
-        f, df = _hyp1f1_chain(0.5 * (1.0 - nu), 1.5, z * z, 1, 2)
-        t2 = g2 * 2.0 * z * f
-        dt2 = 2.0 * g2 * df
-    return scale * (t1 - t2), scale * (dt1 - dt2)
 
 
 def _hermite_recessive(nu, u):
@@ -408,21 +359,35 @@ def hermite_h_dz(nu, z):
 
 
 def _hermite_kummer(nu, z):
-    """(H_nu(z), d/dz H_nu(z), 1F1(k; 1/2; w), d/dw 1F1(k; 1/2; w)) at
-    w = z^2, k = -nu/2: the pair behind the Weber basis.
+    """(H_nu(z), d/dz H_nu(z), M, M') with M = 1F1(-nu/2; 1/2; w) and
+    M' = dM/dw at w = z^2: the pair behind the Weber basis.
 
     Each value equals, bit for bit, its own call of ``hermite_h``,
-    ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``.  The Kummer
-    function and its derivative are one chain.  For z >= 0 both Hermite
-    values come from one ``_hermite_recessive`` call, so that chain is
-    all that is summed; for z < 0 H_nu shares it and adds one chain
-    more.
+    ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``.  M and M'
+    are one chain.  For z >= 0 both Hermite values come from one
+    ``_hermite_recessive`` call, so that chain is all that is summed.
+    For z < 0 H_nu shares it and adds one chain more, of
+    F = 1F1((1-nu)/2; 3/2; w), which gives F and, as sum (2n + 1) t_n,
+    d/dz[z F] = 1F1((1-nu)/2; 1/2; w) (DLMF 13.3(ii)).  Then
+    H = sqrt(pi) 2^nu (g1 M - g2 2z F) as in ``_hermite`` and
+    H' = sqrt(pi) 2^nu (g1 2z M' - 2 g2 d/dz[z F]).
     """
     kummer = _kummer_pair(-0.5 * nu, 0.5, z * z)
     if z >= 0.0:
         h, h_prev = _hermite_recessive(nu, z)
         return (h, 2.0 * nu * h_prev) + kummer
-    return _hermite_with_dz(nu, z, kummer) + kummer
+    g1, g2, scale = _hermite_weights(nu)
+    t1 = dt1 = 0.0
+    if g1 != 0.0:
+        m, dm = kummer
+        t1 = g1 * m
+        dt1 = g1 * 2.0 * z * dm
+    t2 = dt2 = 0.0
+    if g2 != 0.0:
+        f, df = _hyp1f1_chain(0.5 * (1.0 - nu), 1.5, z * z, 1, 2)
+        t2 = g2 * 2.0 * z * f
+        dt2 = 2.0 * g2 * df
+    return (scale * (t1 - t2), scale * (dt1 - dt2)) + kummer
 
 
 def _float_if_scalar(r):

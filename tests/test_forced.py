@@ -178,13 +178,13 @@ def test_integrand_sums_one_member(sample_coeffs, monkeypatch, integrand,
     only H_nu's two (u < 0 on the sample arm before t = 10), where the
     whole basis would sum four."""
     sums = []
-    kernel = specfun._hyp1f1_series
+    kernel = specfun._hyp1f1_chain
 
     def counting(*args):
         sums.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(specfun, "_hyp1f1_series", counting)
+    monkeypatch.setattr(specfun, "_hyp1f1_chain", counting)
     for t in (0.0, 2.5, 5.0, 9.9):
         sums.clear()
         integrand(sample_coeffs, t)
