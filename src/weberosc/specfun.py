@@ -17,10 +17,13 @@ gives a derivative where one is wanted (DLMF 13.3(ii)); a value alone
 takes c0 = c1 = 0.  Each sum stops once its term magnitude stays below
 ``_REL_TOL`` times its partial sum for three consecutive terms
 (single-term tests are unsafe at the argument sizes this problem
-reaches, |z| ~ 40 and beyond); a chain that has not stopped after
-``_MAX_TERMS`` terms raises ``ConvergenceError``.  A sum whose largest
-term exceeds it by more than ``_WIDE_CANCEL`` is summed again exactly,
-in integer fixed point, and rounded once to a double.
+reaches, |z| ~ 40 and beyond).  A small term counts only where it is
+exactly 0 or the terms have stopped growing (``_terms_falling``): next
+to an integer a, a few terms are tiny before the tail regrows.  A
+chain that has not stopped after ``_MAX_TERMS`` terms raises
+``ConvergenceError``.  A sum whose largest term exceeds it by more than
+``_WIDE_CANCEL`` is summed again exactly, in integer fixed point, and
+rounded once to a double.
 """
 
 import functools
@@ -113,6 +116,21 @@ def _not_converged(a, b, z):
         "(a=%g, b=%g, z=%g)" % (_REL_TOL, _MAX_TERMS, a, b, z))
 
 
+def _terms_falling(a, b, z, n):
+    """Whether the terms of 1F1(a; b; z) have stopped growing past
+    t_{n+1}: the ratio r(k) = |(a+k+1) z / ((b+k+1)(k+2))| of the term
+    after t_{k+1} to it is below 1 at k = n and no larger at k = n + 1.
+
+    A small term counts toward a stop only where this holds.  For a a
+    few ulp from -m, the factor a + m makes the terms just past n = m
+    tiny while r rises above 1 again, and the tail regrows to about
+    (a + m) e^z; r is rational in k with a single peak there, so the
+    test fails until the terms are past it.
+    """
+    r = abs((a + n + 1) * z / ((b + n + 1) * (n + 2.0)))
+    return r < 1.0 and abs((a + n + 2) * z / ((b + n + 2) * (n + 3.0))) <= r
+
+
 def _hyp1f1_chain(a, b, z, c0, c1):
     """(sum t_n, sum (c0 + c1 n) t_n) over the terms t_n of 1F1(a; b; z),
     from one pass over the terms: the value of 1F1 and its companion.
@@ -144,7 +162,8 @@ def _hyp1f1_chain(a, b, z, c0, c1):
             t = s + y
             comp = (t - s) - y
             s = t
-            if mag <= rel_tol * abs(s):
+            if mag <= rel_tol * abs(s) and (
+                    mag == 0.0 or _terms_falling(a, b, z, n)):
                 below += 1
             else:
                 below = 0
@@ -157,7 +176,8 @@ def _hyp1f1_chain(a, b, z, c0, c1):
             t = sc + y
             compc = (t - sc) - y
             sc = t
-            if mag <= rel_tol * abs(sc):
+            if mag <= rel_tol * abs(sc) and (
+                    mag == 0.0 or _terms_falling(a, b, z, n)):
                 belowc += 1
             else:
                 belowc = 0
@@ -197,14 +217,16 @@ def _hyp1f1_chain_exact(a, b, z, c0, c1):
         term = term * (pa + n * qa) * zq // ((pb + n * qb) * (n + 1) * dq)
         if below < 3:
             s += term
-            if abs(term) * tol_den <= tol_num * abs(s):
+            if abs(term) * tol_den <= tol_num * abs(s) and (
+                    term == 0 or _terms_falling(a, b, z, n)):
                 below += 1
             else:
                 below = 0
         if belowc < 3:
             tc = (c0 + c1 * (n + 1)) * term
             sc += tc
-            if abs(tc) * tol_den <= tol_num * abs(sc):
+            if abs(tc) * tol_den <= tol_num * abs(sc) and (
+                    tc == 0 or _terms_falling(a, b, z, n)):
                 belowc += 1
             else:
                 belowc = 0

@@ -11,7 +11,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weberosc import specfun
 from weberosc.errors import ConvergenceError, DomainError, PoleError
@@ -26,6 +26,13 @@ KUMMER_REFS = [
     ((2.0, 3.0, -25.0), 0.003199999998844523),
     ((0.5, 1.5, 40.0), 2980568725898933.0),
     ((-0.3, 0.7, -12.5), 2.7692758755564095),
+    # a a few ulp from -m: the terms just past n = m are tiny, and the
+    # tail then regrows to about (a + m) e^z, so a sum must not stop there
+    ((-11.000000000000004, 0.5, 100.0), -72549010840113.05),
+    ((-10.000000000000002, 0.5, 60.0), 138806959633.1078),
+    ((-4.000000000000001, 1.5, 35.0), 14208.407407151137),
+    ((-5.000000000000001, 0.5, 35.0), -847867.5185152957),
+    ((-5.000000000000001, 1.5, 35.0), -64162.13131307129),
     # preset III basis series (A = 0.5, t = 2, 5, 8): the terms cancel by
     # 1e5 to 5e10, so these values come from the exact integer rerun
     ((-24.697916666666664, 0.5, 67.5), -452864921486823.6),
@@ -381,6 +388,8 @@ def test_chain_value_is_kummer_1f1(a, b, z, companion):
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(-30.0, -5.0), b=st.sampled_from([0.5, 1.5]),
        z=st.floats(10.0, 110.0))
+@example(a=-5.000000000000001, b=0.5, z=35.0)
+@example(a=-5.000000000000001, b=1.5, z=35.0)
 def test_chain_derivatives_against_mpmath(a, b, z):
     """Over the cancelling range, kummer_1f1_dz(a, b, z) and
     hermite_h_dz(-2a, -sqrt(z)) against mpmath at 40 digits, each error
