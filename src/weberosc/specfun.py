@@ -106,8 +106,14 @@ def reciprocal_gamma(x):
         return math.exp(-math.lgamma(x))
     if x == math.floor(x):
         return 0.0
-    # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1 - x) / pi
-    return math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)) / math.pi
+    # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1 - x) / pi, with
+    # sin(pi x) = (-1)^k sin(pi (x - k)) taken on the exact x - k, k the
+    # nearest integer, so that it keeps its digits next to the zeros
+    k = round(x)
+    s = math.sin(math.pi * (x - k))
+    if k % 2:
+        s = -s
+    return s * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
 def _not_converged(a, b, z):

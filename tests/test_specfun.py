@@ -62,6 +62,9 @@ HERMITE_REFS = [
     ((30.7, 25.0), 9.9114136697703e+51),
     ((-0.5, 18.0), 0.16657053959123477),
     ((-4.5, 5.0), 2.5307058290217234e-05),
+    # nu a few ulp above an even integer: 1/Gamma(-nu/2) sits next to a
+    # zero, so its sine needs the reduced argument to keep its sign
+    ((22.000000000000008, -10.0), -7.360609955371812e+27),
 ]
 
 HERMITE_DZ_REFS = [
@@ -253,6 +256,11 @@ def test_reciprocal_gamma():
     # reflection: 1/Gamma(-0.5) = -1/(2 sqrt(pi))
     assert specfun.reciprocal_gamma(-0.5) == pytest.approx(
         -0.5 / math.sqrt(math.pi), rel=1e-13)
+    # next to the zeros, against mpmath.rgamma at 40 digits
+    for x, ref in [(-11.99999, 4789.895005012775),
+                   (-5.0000001, 1.2000002080992961e-05),
+                   (-29.99999, 2.6524379417731966e+27)]:
+        assert specfun.reciprocal_gamma(x) == pytest.approx(ref, rel=1e-13)
 
 
 def test_kummer_pole_rejected():
@@ -404,9 +412,7 @@ def test_chain_derivatives_against_mpmath(a, b, z):
 
     H_nu's reference takes the weights 1/Gamma((1-nu)/2) and
     1/Gamma(-nu/2) as the doubles the library uses, so that only the
-    sums are checked here: near an even nu, 1/Gamma(-nu/2) loses
-    relative accuracy (3.6e-9 at -nu/2 = -5.0000001), from sin(pi x)
-    taken on the unreduced pi x.
+    sums are checked here; ``test_reciprocal_gamma`` checks the weights.
     """
     with mock.patch.object(specfun, "_hyp1f1_chain_exact",
                            wraps=specfun._hyp1f1_chain_exact) as rerun:
