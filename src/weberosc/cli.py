@@ -88,10 +88,15 @@ def _parse_drag(raw: str) -> tuple:
 
 
 def _zero_crossings(values) -> int:
+    """Sign changes along values.  A value within 1e-12 of max |v| is
+    rounding noise (x(0) = 0 can come out as +-5.6e-17) and, like an
+    exact zero, is skipped: a real crossing still shows between its
+    neighbours."""
+    noise = 1e-12 * max((abs(v) for v in values), default=0.0)
     n = 0
     prev = None
     for v in values:
-        if v == 0.0:
+        if abs(v) <= noise:
             continue
         if prev is not None and (v > 0) != (prev > 0):
             n += 1

@@ -59,6 +59,17 @@ def test_transient_csv_roundtrip(tmp_path, capsys):
     assert "truncated=False" in summary
 
 
+def test_zero_crossings_skip_rounding_noise():
+    """A first sample of +-5.6e-17 where x(0) = 0 is not a crossing."""
+    tail = [0.0099, 0.5, -0.3, -0.7, 0.2]
+    exact = cli._zero_crossings([0.0] + tail)
+    assert exact == 2
+    for noise in (5.6e-17, -5.6e-17):
+        assert cli._zero_crossings([noise] + tail) == exact
+    assert cli._zero_crossings([]) == 0
+    assert cli._zero_crossings([0.0, 0.0]) == 0
+
+
 def test_transient_oracle_flag(tmp_path, capsys):
     rc = cli.main(["transient", "--preset", "I", "--drag", "0.5",
                    "--samples", "21", "--oracle", "--out", str(tmp_path)])
