@@ -18,8 +18,8 @@ takes c0 = c1 = 0.  Each sum stops once its term magnitude stays below
 ``_REL_TOL`` times its partial sum for three consecutive terms
 (single-term tests are unsafe at the argument sizes this problem
 reaches, |z| ~ 40 and beyond).  A small term counts only where it is
-exactly 0 or the terms have stopped growing (``_terms_falling``): next
-to an integer a, a few terms are tiny before the tail regrows.  A
+exactly 0 or the terms have stopped growing (see ``_hyp1f1_chain``):
+next to an integer a, a few terms are tiny before the tail regrows.  A
 chain that has not stopped after ``_MAX_TERMS`` terms raises
 ``ConvergenceError``.  A sum whose largest term exceeds it by more than
 ``_WIDE_CANCEL`` is summed again exactly, in integer fixed point, and
@@ -122,21 +122,6 @@ def _not_converged(a, b, z):
         "(a=%g, b=%g, z=%g)" % (_REL_TOL, _MAX_TERMS, a, b, z))
 
 
-def _terms_falling(a, b, z, n):
-    """Whether the terms of 1F1(a; b; z) have stopped growing past
-    t_{n+1}: the ratio r(k) = |(a+k+1) z / ((b+k+1)(k+2))| of the term
-    after t_{k+1} to it is below 1 at k = n and no larger at k = n + 1.
-
-    A small term counts toward a stop only where this holds.  For a a
-    few ulp from -m, the factor a + m makes the terms just past n = m
-    tiny while r rises above 1 again, and the tail regrows to about
-    (a + m) e^z; r is rational in k with a single peak there, so the
-    test fails until the terms are past it.
-    """
-    r = abs((a + n + 1) * z / ((b + n + 1) * (n + 2.0)))
-    return r < 1.0 and abs((a + n + 2) * z / ((b + n + 2) * (n + 3.0))) <= r
-
-
 def _hyp1f1_chain(a, b, z, c0, c1):
     """(sum t_n, sum (c0 + c1 n) t_n) over the terms t_n of 1F1(a; b; z),
     from one pass over the terms: the value of 1F1 and its companion.
@@ -147,6 +132,14 @@ def _hyp1f1_chain(a, b, z, c0, c1):
     and one that fails sends the chain to the exact rerun.  The rerun's
     companion is then kept either way; its value replaces the float one
     only where that one failed.
+
+    The loop carries the term ratios one and two steps ahead, r and r2,
+    and a small term counts toward a stop only where it is 0 or
+    |r| < 1 and |r2| <= |r|.  For a a few ulp from -m, the factor a + m
+    makes the terms just past n = m tiny while |r| rises above 1 again,
+    and the tail regrows to about (a + m) e^z; |r| is rational in n
+    with a single peak there, so the test fails until the terms are past
+    it.
     """
     rel_tol = _REL_TOL
     term = 1.0
@@ -158,8 +151,11 @@ def _hyp1f1_chain(a, b, z, c0, c1):
     compc = 0.0
     topc = abs(sc)
     belowc = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * z / ((b + n) * (n + 1.0))
+    r, r2 = a * z / b, (a + 1) * z / ((b + 1) * 2.0)
+    # step k sums t_{k-1}, and r2 becomes t_{k+1} / t_k
+    for k in range(2, _MAX_TERMS + 2):
+        term *= r
+        r, r2 = r2, (a + k) * z / ((b + k) * (k + 1.0))
         if below < 3:
             mag = abs(term)
             if mag > top:
@@ -169,12 +165,12 @@ def _hyp1f1_chain(a, b, z, c0, c1):
             comp = (t - s) - y
             s = t
             if mag <= rel_tol * abs(s) and (
-                    mag == 0.0 or _terms_falling(a, b, z, n)):
+                    mag == 0.0 or (abs(r) < 1.0 and abs(r2) <= abs(r))):
                 below += 1
             else:
                 below = 0
         if belowc < 3:
-            tc = (c0 + c1 * (n + 1.0)) * term
+            tc = (c0 + c1 * (k - 1.0)) * term
             mag = abs(tc)
             if mag > topc:
                 topc = mag
@@ -183,7 +179,7 @@ def _hyp1f1_chain(a, b, z, c0, c1):
             compc = (t - sc) - y
             sc = t
             if mag <= rel_tol * abs(sc) and (
-                    mag == 0.0 or _terms_falling(a, b, z, n)):
+                    mag == 0.0 or (abs(r) < 1.0 and abs(r2) <= abs(r))):
                 belowc += 1
             else:
                 belowc = 0
@@ -205,34 +201,43 @@ def _hyp1f1_chain_exact(a, b, z, c0, c1):
 
     a, b and z enter as the exact rationals their doubles are; each
     term, scaled by 2^_FIX_BITS, is floor-divided once per step, and
-    each sum stops by the float rule (with _REL_TOL as its exact
-    rational) and is rounded once to a double by int / int.
+    each sum stops by the float rule, with _REL_TOL and the ratios of
+    the terms as exact rationals, and is rounded once to a double by
+    int / int.
     """
     pa, qa = a.as_integer_ratio()
     pb, qb = b.as_integer_ratio()
     pz, qz = z.as_integer_ratio()
     tol_num, tol_den = _REL_TOL.as_integer_ratio()
-    # t_{n+1} / t_n = (pa + n qa) pz qb / ((pb + n qb) (n + 1) qa qz)
+    # t_{k+1} / t_k = (pa + k qa) pz qb / ((pb + k qb) (k + 1) qa qz),
+    # carried one and two steps ahead as p / q and p2 / q2, as in the
+    # float chain
     zq = pz * qb
     dq = qa * qz
     one = 1 << _FIX_BITS
     term = s = one
     sc = c0 * one
     below = belowc = 0
-    for n in range(_MAX_TERMS):
-        term = term * (pa + n * qa) * zq // ((pb + n * qb) * (n + 1) * dq)
+    p, q = pa * zq, pb * dq
+    p2, q2 = (pa + qa) * zq, (pb + qb) * 2 * dq
+    for k in range(2, _MAX_TERMS + 2):
+        term = term * p // q
+        p, q = p2, q2
+        p2, q2 = (pa + k * qa) * zq, (pb + k * qb) * (k + 1) * dq
         if below < 3:
             s += term
             if abs(term) * tol_den <= tol_num * abs(s) and (
-                    term == 0 or _terms_falling(a, b, z, n)):
+                    term == 0 or (abs(p) < abs(q)
+                                and abs(p2 * q) <= abs(p * q2))):
                 below += 1
             else:
                 below = 0
         if belowc < 3:
-            tc = (c0 + c1 * (n + 1)) * term
+            tc = (c0 + c1 * (k - 1)) * term
             sc += tc
             if abs(tc) * tol_den <= tol_num * abs(sc) and (
-                    tc == 0 or _terms_falling(a, b, z, n)):
+                    tc == 0 or (abs(p) < abs(q)
+                                and abs(p2 * q) <= abs(p * q2))):
                 belowc += 1
             else:
                 belowc = 0
