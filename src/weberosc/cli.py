@@ -88,10 +88,8 @@ def _parse_drag(raw: str) -> tuple:
 
 
 def _zero_crossings(values) -> int:
-    """Sign changes along values.  A value within 1e-12 of max |v| is
-    rounding noise (x(0) = 0 can come out as +-5.6e-17) and, like an
-    exact zero, is skipped: a real crossing still shows between its
-    neighbours."""
+    # |v| within 1e-12 of max |v| is rounding noise (x(0) = 0 can come
+    # out as +-5.6e-17) and, like 0, shows no crossing of its own
     noise = 1e-12 * max((abs(v) for v in values), default=0.0)
     n = 0
     prev = None

@@ -10,20 +10,15 @@ Gauss-Legendre panel sum on its ``j0``; scipy is imported on first use
 so that the closed-form transient path never loads numpy or scipy.
 All functions are pure and thread-safe.
 
-Every 1F1 value is summed by one chain: a single pass over the terms
-t_n of the series (DLMF 13.2.2) that keeps two Kahan-compensated sums,
-the value sum t_n and a companion sum (c0 + c1 n) t_n.  The companion
-gives a derivative where one is wanted (DLMF 13.3(ii)); a value alone
-takes c0 = c1 = 0.  Each sum stops once its term magnitude stays below
-``_REL_TOL`` times its partial sum for three consecutive terms
-(single-term tests are unsafe at the argument sizes this problem
-reaches, |z| ~ 40 and beyond).  A small term counts only where it is
-exactly 0 or the terms have stopped growing (see ``_hyp1f1_chain``):
-next to an integer a, a few terms are tiny before the tail regrows.  A
-chain that has not stopped after ``_MAX_TERMS`` terms raises
-``ConvergenceError``.  A sum whose largest term exceeds it by more than
-``_WIDE_CANCEL`` is summed again exactly, in integer fixed point, and
-rounded once to a double.
+Every 1F1 is one chain: a pass over the terms t_n of its series that
+keeps two Kahan-compensated sums, sum t_n and sum (c0 + c1 n) t_n, the
+second a derivative where one is wanted (DLMF 13.3(ii)) and zero where
+not.  Each sum stops once three consecutive terms, counted only once the
+terms have stopped growing, stay below ``_REL_TOL`` times it (one term
+is unsafe at |z| ~ 40 and beyond); a chain still running after
+``_MAX_TERMS`` terms raises ``ConvergenceError``.  A sum whose largest
+term exceeds it by more than ``_WIDE_CANCEL`` is summed again exactly,
+in integer fixed point, and rounded once to a double.
 """
 
 import functools
@@ -106,9 +101,8 @@ def reciprocal_gamma(x):
         return math.exp(-math.lgamma(x))
     if x == math.floor(x):
         return 0.0
-    # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1 - x) / pi, with
-    # sin(pi x) = (-1)^k sin(pi (x - k)) taken on the exact x - k, k the
-    # nearest integer, so that it keeps its digits next to the zeros
+    # reflection: 1/Gamma(x) = sin(pi x) Gamma(1 - x) / pi, the sine as
+    # (-1)^k sin(pi (x - k)) on the exact x - k to keep it near the zeros
     k = round(x)
     s = math.sin(math.pi * (x - k))
     if k % 2:
@@ -123,23 +117,17 @@ def _not_converged(a, b, z):
 
 
 def _hyp1f1_chain(a, b, z, c0, c1):
-    """(sum t_n, sum (c0 + c1 n) t_n) over the terms t_n of 1F1(a; b; z),
-    from one pass over the terms: the value of 1F1 and its companion.
+    """(sum t_n, sum (c0 + c1 n) t_n) over the terms t_n of 1F1(a; b; z):
+    the value of 1F1 and its companion, from one pass over the terms.
 
-    Each sum is Kahan-compensated, stops by the module's rule applied
-    to its own terms and is frozen there, so the value does not depend
-    on c0 and c1.  Each sum is also checked for cancellation on its own,
-    and one that fails sends the chain to the exact rerun.  The rerun's
-    companion is then kept either way; its value replaces the float one
-    only where that one failed.
-
-    The loop carries the term ratios one and two steps ahead, r and r2,
-    and a small term counts toward a stop only where it is 0 or
-    |r| < 1 and |r2| <= |r|.  For a a few ulp from -m, the factor a + m
-    makes the terms just past n = m tiny while |r| rises above 1 again,
-    and the tail regrows to about (a + m) e^z; |r| is rational in n
-    with a single peak there, so the test fails until the terms are past
-    it.
+    Each sum stops by its own terms and is frozen there, so the value
+    does not depend on c0 and c1.  A sum that cancels sends the chain to
+    the exact rerun, whose companion is then kept and whose value
+    replaces only a cancelling one.  A small term counts toward a stop
+    only where it is 0 or the next two term ratios r, r2 (carried ahead)
+    have |r| < 1 and |r2| <= |r|: for a a few ulp from -m, the terms
+    just past n = m are tiny while |r| climbs above 1 again, and the
+    tail regrows to about (a + m) e^z.
     """
     rel_tol = _REL_TOL
     term = 1.0
@@ -210,8 +198,7 @@ def _hyp1f1_chain_exact(a, b, z, c0, c1):
     pz, qz = z.as_integer_ratio()
     tol_num, tol_den = _REL_TOL.as_integer_ratio()
     # t_{k+1} / t_k = (pa + k qa) pz qb / ((pb + k qb) (k + 1) qa qz),
-    # carried one and two steps ahead as p / q and p2 / q2, as in the
-    # float chain
+    # carried ahead as p / q and p2 / q2 as in the float chain
     zq = pz * qb
     dq = qa * qz
     one = 1 << _FIX_BITS
@@ -398,10 +385,9 @@ def _hermite_kummer(nu, z):
     Each value equals, bit for bit, its own call of ``hermite_h``,
     ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``.  M and M'
     are one chain.  For z >= 0 both Hermite values come from one
-    ``_hermite_recessive`` call, so that chain is all that is summed.
-    For z < 0 H_nu shares it and adds one chain more, of
-    F = 1F1((1-nu)/2; 3/2; w), which gives F and, as sum (2n + 1) t_n,
-    d/dz[z F] = 1F1((1-nu)/2; 1/2; w) (DLMF 13.3(ii)).  Then
+    ``_hermite_recessive`` call.  For z < 0 one chain more, of
+    F = 1F1((1-nu)/2; 3/2; w), gives F and, as sum (2n + 1) t_n,
+    d/dz[z F] = 1F1((1-nu)/2; 1/2; w) (DLMF 13.3(ii)); then
     H = sqrt(pi) 2^nu (g1 M - g2 2z F) as in ``_hermite`` and
     H' = sqrt(pi) 2^nu (g1 2z M' - 2 g2 d/dz[z F]).
     """
