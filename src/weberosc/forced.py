@@ -25,9 +25,9 @@ from .weber import ClosedFormSolution, PhysicalConfig, WeberCoefficients
 
 _BRACKET_WINDOW = 5.0
 _BRACKET_STEP = 0.01
-# a root is refined until its bracket is narrower than this
+# a root is refined until its bracket is narrower than this, or its
+# ends are adjacent doubles
 _ROOT_XTOL = 1e-10
-_ROOT_MAX_ITER = 100
 # largest change of B between the P- and 2P-panel fits, relative to max |B|
 _FIT_REL_TOL = 1e-8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -78,34 +78,23 @@ def integrand_c2(coeffs: WeberCoefficients, t: float) -> float:
 
 
 def _bracketed_root(fn, a, fa, b, fb):
-    """Root of fn in [a, b], where fa and fb have opposite signs, by the
-    Illinois variant of regula falsi: the secant weight of an end kept
-    twice in a row is halved, so both ends close in on the root.  Once
-    the bracket is narrower than _ROOT_XTOL, the secant through its ends
-    gives the root."""
-    wa = wb = 1.0
-    kept = 0  # +1 after b was kept, -1 after a was kept
-    for _ in range(_ROOT_MAX_ITER):
-        c = b - wb * fb * (b - a) / (wb * fb - wa * fa)
-        if not a < c < b:  # rounding; a bisection step instead
-            c = 0.5 * (a + b)
+    """Root of fn in [a, b], where fa and fb have opposite signs, by
+    halving: the half whose ends differ in sign is kept until the
+    bracket is narrower than _ROOT_XTOL or its midpoint is not strictly
+    inside it (its ends are adjacent doubles).  The secant through the
+    ends of the last bracket gives the root."""
+    while b - a > _ROOT_XTOL:
+        c = 0.5 * (a + b)
+        if not a < c < b:
+            break
         fc = fn(c)
         if fc == 0.0:
             return c
         if (fc < 0.0) == (fa < 0.0):
-            a, fa, wa = c, fc, 1.0
-            if kept == 1:
-                wb *= 0.5
-            kept = 1
+            a, fa = c, fc
         else:
-            b, fb, wb = c, fc, 1.0
-            if kept == -1:
-                wa *= 0.5
-            kept = -1
-        if b - a <= _ROOT_XTOL:
-            return b - fb * (b - a) / (fb - fa)
-    raise RootNotFoundError("root in (%r, %r) not isolated to %g within "
-                            "%d steps" % (a, b, _ROOT_XTOL, _ROOT_MAX_ITER))
+            b, fb = c, fc
+    return b - fb * (b - a) / (fb - fa)
 
 
 def find_root_after(fn, t_end: float) -> float:
@@ -209,7 +198,16 @@ def variation_constants(coeffs: WeberCoefficients, mu: float,
         n_terms = default_n_terms(coeffs.A)
     # c1 and c2 at t_bar need int_0^alpha_N J0 of the last term: an
     # expansion past the kernel's cap is refused before it is fitted
-    specfun.bessel_j0_integral(specfun.bessel_j0_zero(n_terms))
+    alphas = specfun.bessel_j0_zeros(n_terms)
+    try:
+        specfun.bessel_j0_integral(alphas[-1])
+    except DomainError as exc:
+        cap = specfun._J0_INTEGRAL_CAP
+        limit = int(np.searchsorted(alphas, cap, side="right"))
+        raise DomainError("n_terms = %d exceeds the limit of %d terms: "
+                          "alpha_%d = %r lies past the J0-integral cap %r"
+                          % (n_terms, limit, n_terms, float(alphas[-1]), cap)
+                          ) from exc
     tb1 = find_tbar(coeffs, t_end)
     tb2 = find_root_after(lambda t: integrand_c2(coeffs, t), t_end)
     exp1 = fourier_bessel_fit(lambda t: integrand_c1(coeffs, t), tb1, n_terms)
@@ -226,14 +224,6 @@ def _integrals(ps: ParticularSolution, t: float):
                           "got t = %r" % (t_max, t))
     return (-ps.mu * integrate_expansion(ps.exp1, t),
             ps.mu * integrate_expansion(ps.exp2, t))
-
-
-def lagrange_coefficients(ps: ParticularSolution, t: float):
-    """(c1, c2, c1', c2') at time t."""
-    c1, c2 = _integrals(ps, t)
-    c1dot = -ps.mu * eval_expansion(ps.exp1, t)
-    c2dot = ps.mu * eval_expansion(ps.exp2, t)
-    return c1, c2, c1dot, c2dot
 
 
 def eval_particular(ps: ParticularSolution, t: float):

@@ -268,7 +268,8 @@ def test_forced_csv_rows_match_library_calls(tmp_path):
     for i, row in enumerate(rows):
         t = horizon * i / 10
         x, xdot = forced.eval_forced(fs, t)
-        c1, c2, _, _ = forced.lagrange_coefficients(fs.particular, t)
+        c1 = -cfg.mu * forced.integrate_expansion(fs.particular.exp1, t)
+        c2 = cfg.mu * forced.integrate_expansion(fs.particular.exp2, t)
         xbar, _ = forced.eval_particular(fs.particular, t)
         assert [float(v).hex() for v in row] == \
             [v.hex() for v in (t, x, xdot, c1, c2, xbar)]
@@ -320,12 +321,14 @@ def test_forced_rejects_constant_branch(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-def test_forced_refuses_overlong_expansion(tmp_path):
+def test_forced_refuses_overlong_expansion(tmp_path, capsys):
     """3,184 terms reach past the J0-integral cap: exit 2 before the fit,
-    and no CSV."""
+    no CSV, and the message names the term count and its limit."""
     assert cli.main(["forced", "--mu", "1", "--terms", "3184",
                      "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))
+    err = capsys.readouterr().err
+    assert "n_terms = 3184 exceeds the limit of 3183 terms" in err
 
 
 def test_forced_numeric_failure_exit_code(tmp_path):

@@ -45,7 +45,8 @@ def test_find_root_after_matches_brent(A):
 
 def test_bracketed_root_isolates_sign_changes():
     """A smooth root comes out to rounding; a jump is isolated to the
-    1e-10 bracket width."""
+    1e-10 bracket width, or to one ulp where neighbouring doubles lie
+    farther apart; a 0.01 bracket takes at most 27 evaluations."""
     root = forced._bracketed_root(math.cos, 1.0, math.cos(1.0),
                                   2.0, math.cos(2.0))
     assert abs(root - 0.5 * math.pi) <= 1e-15
@@ -55,6 +56,32 @@ def test_bracketed_root_isolates_sign_changes():
 
     root = forced._bracketed_root(step, 1.0, -1.0, 2.0, 1.0)
     assert abs(root - 1.234) <= 1e-10
+
+    # near 1e6 neighbouring doubles are 1.16e-10 apart: the bracket never
+    # gets narrower than 1e-10, and the search must still end
+    jump = 1e6 + 0.00123456789
+    calls = []
+
+    def far_step(t):
+        calls.append(t)
+        if len(calls) > 100:
+            raise AssertionError("no end after 100 evaluations")
+        return -1.0 if t < jump else 1.0
+
+    root = forced._bracketed_root(far_step, 1e6, -1.0, 1e6 + 0.01, 1.0)
+    assert abs(root - jump) <= math.ulp(jump)
+
+    calls = []
+
+    def counted_cos(t):
+        calls.append(t)
+        return math.cos(t)
+
+    lo = 0.5 * math.pi - 0.004
+    root = forced._bracketed_root(counted_cos, lo, math.cos(lo),
+                                  lo + 0.01, math.cos(lo + 0.01))
+    assert abs(root - 0.5 * math.pi) <= 1e-15
+    assert len(calls) <= 27
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -175,8 +202,8 @@ def test_integrands_reject_degenerate_wronskian(sample_coeffs):
 def test_integrand_sums_one_member(sample_coeffs, monkeypatch, integrand,
                                    count):
     """With W in closed form, x2/W sums only the Kummer series and x1/W
-    only H_nu's two (u < 0 on the sample arm before t = 10), where the
-    whole basis would sum four."""
+    only H_nu's two (u < 0 on the sample arm before t = 10), and neither
+    forms the derivatives that the basis carries."""
     sums = []
     kernel = specfun._hyp1f1_chain
 
@@ -293,13 +320,14 @@ def test_reconstruction_error_undamped_30_terms(fit30_undamped,
 
 def test_cross_path_c1_agreement(fit200, sample_coeffs):
     """Fourier-Bessel c1 against direct adaptive quadrature of x2/W."""
-    scale = max(abs(forced.lagrange_coefficients(fit200, t)[0])
-                for t in np.linspace(0.5, 9.0, 18))
+    def c1(t):
+        return -fit200.mu * forced.integrate_expansion(fit200.exp1, t)
+
+    scale = max(abs(c1(t)) for t in np.linspace(0.5, 9.0, 18))
     for t in np.linspace(0.5, 9.0, 18):
-        c1 = forced.lagrange_coefficients(fit200, t)[0]
         direct, _ = quad(lambda s: forced.integrand_c1(sample_coeffs, s),
                          0.0, t, epsrel=1e-12, epsabs=1e-16, limit=300)
-        assert abs(c1 - (-1.0) * direct) <= 1e-4 * scale
+        assert abs(c1(t) - (-1.0) * direct) <= 1e-4 * scale
 
 
 def test_mu_linearity(sample_coeffs):
@@ -398,10 +426,8 @@ def test_forced_fit_covers_the_horizon(overrides):
         for evaluate in (forced.eval_forced, forced.eval_forced_parts):
             with pytest.raises(DomainError):
                 evaluate(fs, t)
-        for evaluate in (forced.eval_particular,
-                         forced.lagrange_coefficients):
-            with pytest.raises(DomainError):
-                evaluate(ps, t)
+        with pytest.raises(DomainError):
+            forced.eval_particular(ps, t)
 
 
 def test_forced_overdamped_no_oscillation(sample_config, sample_coeffs):
