@@ -152,7 +152,6 @@ def _run_forced(config, args) -> None:
     from . import forced
     horizon = dynamics.horizon(config)
     fs = forced.solve_forced_ivp(config, n_terms=args.terms)
-    ps = fs.particular
     n = args.samples
     rows = []
     for i in range(n):
@@ -164,8 +163,8 @@ def _run_forced(config, args) -> None:
     xdots = [row[2] for row in rows if row[0] > 1.0]
     oscillatory = _zero_crossings(xdots) > 1
     print("forced mu=%g A=%g t_bar=(%r, %r) n_terms=%d oscillatory=%s"
-          % (config.mu, config.A, ps.exp1.t_bar, ps.exp2.t_bar,
-             len(ps.exp1.B), oscillatory))
+          % (config.mu, config.A, fs.exp1.t_bar, fs.exp2.t_bar,
+             len(fs.exp1.B), oscillatory))
 
 
 def cmd_polar(args) -> int:

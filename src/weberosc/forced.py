@@ -13,8 +13,9 @@ Gauss-Legendre grid: the integrand is evaluated once per node, and a
 fit on half as many panels checks the result.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
+import numbers
 
 import numpy as np
 
@@ -176,11 +177,15 @@ def integrate_expansion(exp: FourierBesselExpansion, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class ParticularSolution:
-    """x_bar = c1 x1 + c2 x2 with c1, c2 from the fitted expansions:
-    c1' = -mu x2/W and c2' = mu x1/W for W = x1 x2' - x2 x1'."""
+class ForcedSolution:
+    """x = (C1 + c1(t)) x1 + (C2 + c2(t)) x2, Lagrange's variation of
+    constants.  ``homogeneous`` holds the basis coefficients and the
+    constants C1, C2; c1 and c2 integrate c1' = -mu x2/W and
+    c2' = mu x1/W (W = x1 x2' - x2 x1') from 0 through the fitted
+    expansions.  With C1 = C2 = 0 it is the particular solution, which
+    starts at rest."""
 
-    coeffs: WeberCoefficients
+    homogeneous: ClosedFormSolution
     mu: float
     exp1: FourierBesselExpansion  # fit of x2/W, feeds c1
     exp2: FourierBesselExpansion  # fit of x1/W, feeds c2
@@ -192,87 +197,73 @@ def default_n_terms(A: float) -> int:
 
 def variation_constants(coeffs: WeberCoefficients, mu: float,
                         n_terms: int | None = None,
-                        t_end: float = 10.0) -> ParticularSolution:
-    """Build the particular solution of the mu-forced equation."""
+                        t_end: float = 10.0) -> ForcedSolution:
+    """The particular solution of the mu-forced equation: the
+    ``ForcedSolution`` with C1 = C2 = 0, fitted past t_end.
+
+    c1 and c2 at t_bar need int_0^alpha_N J0, and alpha_k > (k - 1/4) pi
+    (McMahon), so more terms than cap/pi + 1/4 are refused before any
+    zero is computed.  The limit is exact: alpha_3183 = 9998.90 and
+    alpha_3184 = 10002.05 lie either side of the cap.
+    """
     if n_terms is None:
         n_terms = default_n_terms(coeffs.A)
-    # c1 and c2 at t_bar need int_0^alpha_N J0 of the last term: an
-    # expansion past the kernel's cap is refused before it is fitted
-    alphas = specfun.bessel_j0_zeros(n_terms)
-    try:
-        specfun.bessel_j0_integral(alphas[-1])
-    except DomainError as exc:
-        cap = specfun._J0_INTEGRAL_CAP
-        limit = int(np.searchsorted(alphas, cap, side="right"))
-        raise DomainError("n_terms = %d exceeds the limit of %d terms: "
-                          "alpha_%d = %r lies past the J0-integral cap %r"
-                          % (n_terms, limit, n_terms, float(alphas[-1]), cap)
-                          ) from exc
+    cap = specfun._J0_INTEGRAL_CAP
+    limit = math.floor(cap / math.pi + 0.25)
+    if isinstance(n_terms, numbers.Real) and n_terms > limit:
+        raise DomainError("n_terms = %s exceeds the limit of %d terms: "
+                          "alpha_k > (k - 1/4) pi > %r, the J0-integral "
+                          "cap, for k > %d" % (n_terms, limit, cap, limit))
+    # refuses a count that is not an integer before any integrand call;
+    # both fits reuse the cached zeros
+    specfun.bessel_j0_zeros(n_terms)
     tb1 = find_tbar(coeffs, t_end)
     tb2 = find_root_after(lambda t: integrand_c2(coeffs, t), t_end)
     exp1 = fourier_bessel_fit(lambda t: integrand_c1(coeffs, t), tb1, n_terms)
     exp2 = fourier_bessel_fit(lambda t: integrand_c2(coeffs, t), tb2, n_terms)
-    return ParticularSolution(coeffs=coeffs, mu=mu, exp1=exp1, exp2=exp2)
-
-
-def _integrals(ps: ParticularSolution, t: float):
-    """(c1, c2) at time t; raises outside [0, min(t_bar1, t_bar2)], where
-    the expansions no longer represent the integrands."""
-    t_max = min(ps.exp1.t_bar, ps.exp2.t_bar)
-    if not 0.0 <= t <= t_max:
-        raise DomainError("particular solution is fitted on [0, %r], "
-                          "got t = %r" % (t_max, t))
-    return (-ps.mu * integrate_expansion(ps.exp1, t),
-            ps.mu * integrate_expansion(ps.exp2, t))
-
-
-def eval_particular(ps: ParticularSolution, t: float):
-    """(x_bar, x_bar') at time t."""
-    c1, c2 = _integrals(ps, t)
-    # the Lagrange constraint c1' x1 + c2' x2 = 0 is imposed analytically:
-    # evaluating it from the truncated expansions instead would multiply
-    # their tiny pointwise error by the ~1e15 basis magnitude at t = 0
-    return weber.combine(c1, c2, weber.evaluate_basis(ps.coeffs, t))
-
-
-@dataclass(frozen=True)
-class ForcedSolution:
-    """General integral: homogeneous part fitted around the particular one."""
-
-    particular: ParticularSolution
-    homogeneous: ClosedFormSolution
+    return ForcedSolution(homogeneous=ClosedFormSolution(coeffs, 0.0, 0.0),
+                          mu=mu, exp1=exp1, exp2=exp2)
 
 
 def solve_forced_ivp(config: PhysicalConfig,
                      n_terms: int | None = None) -> ForcedSolution:
     """Full solution of the forced problem meeting (x0, v0) at t = 0,
-    fitted on the physical horizon ``dynamics.horizon(config)``.  The
-    particular part starts at rest (c1, c2 integrate from 0)."""
+    fitted on the physical horizon ``dynamics.horizon(config)``: the
+    particular solution with C1, C2 from the unforced fit, since c1 and
+    c2 start at 0."""
     if config.q == 0.0:
         raise ConfigError("forced requires q != 0 (hermite/kummer branch)")
     coeffs = weber.map_params(config)
-    ps = variation_constants(coeffs, config.mu, n_terms=n_terms,
+    fs = variation_constants(coeffs, config.mu, n_terms=n_terms,
                              t_end=dynamics.horizon(config))
-    hom = weber.solve_ivp(coeffs, config.x0, config.v0)
-    return ForcedSolution(particular=ps, homogeneous=hom)
+    return replace(fs, homogeneous=weber.solve_ivp(coeffs, config.x0,
+                                                   config.v0))
 
 
 def eval_forced_parts(fs: ForcedSolution, t: float):
-    """(x, x', c1, c2, x_bar) at time t: the forced general solution, the
-    Lagrange coefficients and the particular part, from one evaluation
-    of the basis and of each coefficient integral."""
-    ps, hom = fs.particular, fs.homogeneous
-    c1, c2 = _integrals(ps, t)
-    basis = weber.evaluate_basis(ps.coeffs, t)
+    """(x, x', c1, c2, x_bar) at time t: the solution, the Lagrange
+    coefficients and the particular part x_bar = c1 x1 + c2 x2, from one
+    evaluation of the basis and of each coefficient integral.  Raises
+    outside [0, min(t_bar1, t_bar2)], where the expansions no longer
+    represent the integrands."""
+    t_max = min(fs.exp1.t_bar, fs.exp2.t_bar)
+    if not 0.0 <= t <= t_max:
+        raise DomainError("forced solution is fitted on [0, %r], "
+                          "got t = %r" % (t_max, t))
+    c1 = -fs.mu * integrate_expansion(fs.exp1, t)
+    c2 = fs.mu * integrate_expansion(fs.exp2, t)
+    hom = fs.homogeneous
+    basis = weber.evaluate_basis(hom.coeffs, t)
+    # the Lagrange constraint c1' x1 + c2' x2 = 0 is imposed analytically:
+    # evaluating it from the truncated expansions instead would multiply
+    # their tiny pointwise error by the ~1e15 basis magnitude at t = 0
     xb, vb = weber.combine(c1, c2, basis)
-    # the homogeneous part shares the basis: the particular solution
-    # exists only on the Hermite/Kummer branch (a > 0)
     xh, vh = weber.combine(hom.C1, hom.C2, basis)
     return xb + xh, vb + vh, c1, c2, xb
 
 
 def eval_forced(fs: ForcedSolution, t: float):
-    """(x, x') of the forced general solution at time t."""
+    """(x, x') of the forced solution at time t."""
     return eval_forced_parts(fs, t)[:2]
 
 

@@ -165,8 +165,8 @@ def test_criterion_7_mu_linearity(capsys, sample_coeffs):
     ps2 = forced.variation_constants(sample_coeffs, 2.0, n_terms=20)
     worst = 0.0
     for t in np.linspace(0.0, 9.0, 10):
-        x1, v1 = forced.eval_particular(ps1, t)
-        x2, v2 = forced.eval_particular(ps2, t)
+        x1, v1 = forced.eval_forced(ps1, t)
+        x2, v2 = forced.eval_forced(ps2, t)
         scale = max(1e-30, abs(x1), abs(v1))
         worst = max(worst, abs(x2 - 2.0 * x1) / scale,
                     abs(v2 - 2.0 * v1) / scale)

@@ -263,14 +263,16 @@ def test_forced_csv_rows_match_library_calls(tmp_path):
     cfg = replace(dynamics.apply_preset(weber.PhysicalConfig(), "I"), mu=1.0)
     fs = forced.solve_forced_ivp(cfg, n_terms=10)
     horizon = dynamics.horizon(cfg)
+    ps = forced.variation_constants(weber.map_params(cfg), cfg.mu,
+                                    n_terms=10, t_end=horizon)
     _, rows = _read_csv(tmp_path / "forced_A0.csv")
     assert len(rows) == 11
     for i, row in enumerate(rows):
         t = horizon * i / 10
         x, xdot = forced.eval_forced(fs, t)
-        c1 = -cfg.mu * forced.integrate_expansion(fs.particular.exp1, t)
-        c2 = cfg.mu * forced.integrate_expansion(fs.particular.exp2, t)
-        xbar, _ = forced.eval_particular(fs.particular, t)
+        c1 = -cfg.mu * forced.integrate_expansion(fs.exp1, t)
+        c2 = cfg.mu * forced.integrate_expansion(fs.exp2, t)
+        xbar, _ = forced.eval_forced(ps, t)
         assert [float(v).hex() for v in row] == \
             [v.hex() for v in (t, x, xdot, c1, c2, xbar)]
 

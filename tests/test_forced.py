@@ -231,18 +231,30 @@ def test_integrands_are_basis_over_computed_wronskian(sample_coeffs):
 
 
 def test_overlong_expansion_refused_before_fit(sample_coeffs, monkeypatch):
-    """alpha_3184 = 10002.0 lies past the J0-integral cap, so 3,184 terms
-    are refused before a single integrand evaluation."""
+    """alpha_3184 = 10002.0 lies past the J0-integral cap, so 3,184 or
+    10^7 terms are refused from the term count, before a long zero table
+    is built or a single integrand evaluated; 12.7 or "40" terms are
+    refused as a count that is not an integer, also before any integrand
+    call."""
     calls = []
+    bessel_j0_zeros = specfun.bessel_j0_zeros
 
     def counting(coeffs, t):
         calls.append(t)
         return 1.0
 
+    def bounded_zeros(n):
+        if isinstance(n, (int, float)) and n > 3184:
+            pytest.fail("asked for %r J0 zeros" % (n,))
+        return bessel_j0_zeros(n)
+
     monkeypatch.setattr(forced, "integrand_c1", counting)
     monkeypatch.setattr(forced, "integrand_c2", counting)
-    with pytest.raises(DomainError, match="exceeds"):
-        forced.variation_constants(sample_coeffs, 1.0, n_terms=3184)
+    monkeypatch.setattr(specfun, "bessel_j0_zeros", bounded_zeros)
+    for n_terms, match in ((3184, "exceeds"), (10 ** 7, "exceeds"),
+                           (12.7, "integer"), ("40", "integer")):
+        with pytest.raises(DomainError, match=match):
+            forced.variation_constants(sample_coeffs, 1.0, n_terms=n_terms)
     assert calls == []
 
 
@@ -334,8 +346,8 @@ def test_mu_linearity(sample_coeffs):
     ps1 = forced.variation_constants(sample_coeffs, 1.0, n_terms=40)
     ps2 = forced.variation_constants(sample_coeffs, 2.0, n_terms=40)
     for t in np.linspace(0.0, 9.0, 10):
-        x1, v1 = forced.eval_particular(ps1, t)
-        x2, v2 = forced.eval_particular(ps2, t)
+        x1, v1 = forced.eval_forced(ps1, t)
+        x2, v2 = forced.eval_forced(ps2, t)
         assert x2 == pytest.approx(2.0 * x1, rel=1e-10, abs=1e-15)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-10, abs=1e-15)
 
@@ -363,7 +375,7 @@ def test_variation_constants_computes_j0_zeros_once(sample_coeffs,
 def test_zero_mu_gives_zero_particular(sample_coeffs):
     ps = forced.variation_constants(sample_coeffs, 0.0, n_terms=10)
     for t in (0.0, 2.0, 8.0):
-        x, v = forced.eval_particular(ps, t)
+        x, v = forced.eval_forced(ps, t)
         assert x == 0.0
         assert v == 0.0
 
@@ -376,7 +388,7 @@ def test_particular_part_starts_at_rest(A, mu, x0, v0):
     t = 0 and the homogeneous part is the unforced fit to (x0, v0)."""
     cfg = weber.PhysicalConfig(A=A, mu=mu, x0=x0, v0=v0)
     fs = forced.solve_forced_ivp(cfg, n_terms=10)
-    assert forced.eval_particular(fs.particular, 0.0) == (0.0, 0.0)
+    assert forced.eval_forced_parts(fs, 0.0)[2:] == (0.0, 0.0, 0.0)
     assert fs.homogeneous == weber.solve_ivp(weber.map_params(cfg), x0, v0)
 
 
@@ -414,11 +426,10 @@ def test_forced_fit_covers_the_horizon(overrides):
     span, and evaluation outside [0, min(t_bar1, t_bar2)] is refused."""
     cfg = weber.PhysicalConfig(mu=1.0, **overrides)
     fs = forced.solve_forced_ivp(cfg, n_terms=40)
-    ps = fs.particular
     horizon = dynamics.horizon(cfg)
-    t_max = min(ps.exp1.t_bar, ps.exp2.t_bar)
+    t_max = min(fs.exp1.t_bar, fs.exp2.t_bar)
     assert horizon < t_max < horizon + 1.0
-    res = oracle.integrate_ode(ps.coeffs, cfg.mu, cfg.x0, cfg.v0, horizon,
+    res = oracle.integrate_ode(fs.homogeneous.coeffs, cfg.mu, cfg.x0, cfg.v0, horizon,
                                rel_tol=1e-11, n_samples=101)
     x = np.array([forced.eval_forced(fs, t)[0] for t in res.grid])
     assert np.max(np.abs(x - res.x)) <= 1e-2 * np.max(np.abs(res.x))
@@ -426,8 +437,6 @@ def test_forced_fit_covers_the_horizon(overrides):
         for evaluate in (forced.eval_forced, forced.eval_forced_parts):
             with pytest.raises(DomainError):
                 evaluate(fs, t)
-        with pytest.raises(DomainError):
-            forced.eval_particular(ps, t)
 
 
 def test_forced_overdamped_no_oscillation(sample_config, sample_coeffs):
@@ -459,9 +468,9 @@ def test_particular_residual_bound(fit200, sample_coeffs):
     co = sample_coeffs
     h = 1e-4
     for t in np.linspace(0.05, 9.0, 45):
-        xm = forced.eval_particular(fit200, t - h)[0]
-        x0 = forced.eval_particular(fit200, t)[0]
-        xp = forced.eval_particular(fit200, t + h)[0]
+        xm = forced.eval_forced(fit200, t - h)[0]
+        x0 = forced.eval_forced(fit200, t)[0]
+        xp = forced.eval_forced(fit200, t + h)[0]
         res = ((xp - 2.0 * x0 + xm) / (h * h)
                + co.A * (xp - xm) / (2.0 * h)
                - (co.a * t * t + co.b * t + co.c) * x0 - 1.0)
