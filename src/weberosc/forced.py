@@ -236,8 +236,8 @@ def solve_forced_ivp(config: PhysicalConfig,
     coeffs = weber.map_params(config)
     fs = variation_constants(coeffs, config.mu, n_terms=n_terms,
                              t_end=dynamics.horizon(config))
-    return replace(fs, homogeneous=weber.solve_ivp(coeffs, config.x0,
-                                                   config.v0))
+    hom = weber.solve_ivp(coeffs, config.x0, config.v0)
+    return replace(fs, homogeneous=hom)
 
 
 def eval_forced_parts(fs: ForcedSolution, t: float):
