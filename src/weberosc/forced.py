@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dynamics, specfun, weber
 from .errors import (ConfigError, ConvergenceError, DomainError,
-                     OverflowRangeError, RootNotFoundError)
+                     RootNotFoundError)
 from .weber import ClosedFormSolution, PhysicalConfig, WeberCoefficients
 
 _BRACKET_WINDOW = 5.0
@@ -50,16 +50,14 @@ def _over_wronskian(coeffs: WeberCoefficients, t: float, member) -> float:
     """member(nu, u(t)) E(t) / W(t), with the closed-form W of
     ``weber.envelope_over_wronskian``: one member of the pair, and not
     the whole basis, per call.  A value outside the double range raises
-    ``OverflowRangeError``."""
+    ``weber._overflow(t)``, as in the basis."""
     ew = weber.envelope_over_wronskian(coeffs, t)
     u = (coeffs.b + 2.0 * coeffs.a * t) / (2.0 * coeffs.a ** 0.75)
     try:
         v = ew * member(coeffs.beta - 0.5, u)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise OverflowRangeError("integrand overflowed at t = %g" % t, t=t)
-    return v
+    except OverflowError as exc:
+        raise weber._overflow(t) from exc
+    return weber._finite((v,), t)[0]
 
 
 def _kummer(nu, u):
@@ -259,7 +257,7 @@ def eval_forced_parts(fs: ForcedSolution, t: float):
     # their tiny pointwise error by the ~1e15 basis magnitude at t = 0
     xb, vb = weber.combine(c1, c2, basis)
     xh, vh = weber.combine(hom.C1, hom.C2, basis)
-    return xb + xh, vb + vh, c1, c2, xb
+    return weber._finite((xb + xh, vb + vh, c1, c2, xb), t)
 
 
 def eval_forced(fs: ForcedSolution, t: float):

@@ -158,15 +158,16 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
     return _finite((x1, x2, x1dot, x2dot), t)
 
 
+# the only code that turns an inf, a NaN or an OverflowError into an error
 def _overflow(t):
-    return OverflowRangeError("basis evaluation overflowed at t = %g" % t,
+    return OverflowRangeError("a value left the double range at t = %g" % t,
                               t=t)
 
 
-def _finite(pair, t):
-    if not all(map(math.isfinite, pair)):
+def _finite(values, t):
+    if not all(map(math.isfinite, values)):
         raise _overflow(t)
-    return pair
+    return values
 
 
 def _fundamental_pair(coeffs: WeberCoefficients, t: float):
@@ -213,7 +214,7 @@ def combine(k1, k2, pair):
 def wronskian(coeffs: WeberCoefficients, t: float) -> float:
     """W(t) = x1 x2' - x2 x1'; by Abel's identity W(t) = W(0) e^{-A t}."""
     x1, x2, x1dot, x2dot = _fundamental_pair(coeffs, t)
-    return x1 * x2dot - x2 * x1dot
+    return _finite((x1 * x2dot - x2 * x1dot,), t)[0]
 
 
 def envelope_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
@@ -227,7 +228,7 @@ def envelope_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
     The quotient is one exp of ln E - ln|W|, so neither E nor
     e^{b^2/(4 a^{3/2})} = e^{omega0/|q|} overflows on its own.  Raises
     ``DegenerateBasisError`` at even nu, where W is identically 0, and
-    where the quotient leaves the double range.
+    ``OverflowRangeError`` where the quotient leaves the double range.
     """
     a, b, A, beta = coeffs.a, coeffs.b, coeffs.A, coeffs.beta
     if not a > 0.0:
@@ -246,11 +247,9 @@ def envelope_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
                 + 0.5 * math.log(math.pi) + b * b / (4.0 * a * sqa) - A * t
                 - math.lgamma(k))
         q = math.exp(ln_env - ln_w)
-    except OverflowError:
-        q = math.inf
-    if not math.isfinite(q):
-        raise DegenerateBasisError("E/W is %r at t = %g" % (q, t))
-    return sign * q
+    except OverflowError as exc:
+        raise _overflow(t) from exc
+    return sign * _finite((q,), t)[0]
 
 
 @dataclass(frozen=True)
@@ -263,19 +262,21 @@ class ClosedFormSolution:
 
 
 def solve_ivp(coeffs: WeberCoefficients, x0: float, v0: float) -> ClosedFormSolution:
-    """Fit the two free constants to (x(0), x'(0)) = (x0, v0)."""
+    """Fit the two free constants to (x(0), x'(0)) = (x0, v0); a W(0)
+    beyond the double range raises ``OverflowRangeError``, not 0 or NaN."""
     x1, x2, x1dot, x2dot = _fundamental_pair(coeffs, 0.0)
-    w0 = x1 * x2dot - x2 * x1dot
-    terms = abs(x1 * x2dot) + abs(x2 * x1dot)
+    w0, terms = _finite((x1 * x2dot - x2 * x1dot,
+                         abs(x1 * x2dot) + abs(x2 * x1dot)), 0.0)
     if abs(w0) < _W_FLOOR or abs(w0) < _W_REL_FLOOR * terms:
         raise DegenerateBasisError(
             "Wronskian at t=0 is numerically zero: %g against terms "
             "summing to %g" % (w0, terms))
     c1 = (x0 * x2dot - v0 * x2) / w0
     c2 = (v0 * x1 - x0 * x1dot) / w0
-    return ClosedFormSolution(coeffs, c1, c2)
+    return ClosedFormSolution(coeffs, *_finite((c1, c2), 0.0))
 
 
 def eval_solution(sol: ClosedFormSolution, t: float):
     """Evaluate (x, x') of the fitted solution at time t."""
-    return combine(sol.C1, sol.C2, _fundamental_pair(sol.coeffs, t))
+    return _finite(combine(sol.C1, sol.C2, _fundamental_pair(sol.coeffs, t)),
+                   t)

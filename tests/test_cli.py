@@ -353,13 +353,33 @@ def test_forced_root_failure_exit_code(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_constant_branch_overflow_exit_code(tmp_path):
-    """q = 0 with a growing exponential past the double range: a typed
-    numeric failure (exit 3) and no CSV, not an OverflowError crash."""
-    cfg = tmp_path / "long.json"
-    cfg.write_text(json.dumps({"q": 0.0, "k2": 1.0, "t_end": 10000.0}))
-    assert cli.main(["transient", "--config", str(cfg), "--drag", "0.5",
-                     "--samples", "11", "--out", str(tmp_path)]) == 3
+# a slow spin-down arm whose x1 x2' at t = 0 leaves the double range
+_OVERFLOW_ARM = {"q": 0.014153800993282034, "k2": 17.8592306700409}
+
+
+@pytest.mark.parametrize("args, config", [
+    pytest.param(["transient", "--drag", "0.5", "--samples", "11"],
+                 {"q": 0.0, "k2": 1.0, "t_end": 10000.0},
+                 id="constant-branch"),
+    pytest.param(["transient", "--drag", "1.2599284728674824",
+                  "--samples", "11"], _OVERFLOW_ARM, id="transient-w0"),
+    pytest.param(["polar", "--samples", "5"], _OVERFLOW_ARM, id="polar-w0"),
+    pytest.param(["transient", "--preset", "I", "--drag", "0.5",
+                  "--samples", "11"], {"v0": 1.7e308}, id="transient-v0"),
+    pytest.param(["forced", "--mu", "1.7e308", "--terms", "10",
+                  "--samples", "101"], None, id="forced-mu"),
+])
+def test_constant_branch_overflow_exit_code(tmp_path, args, config):
+    """A value past the double range is a typed numeric failure (exit 3)
+    with no CSV, not an OverflowError crash or rows of 0, NaN or inf:
+    q = 0 with a growing exponential; W(0) on two slow spin-down arms
+    (nu = 205.1 and 209.8), where RK45 reaches |x| = 0.25 and 0.33; the
+    constants at v0 = 1.7e308; and the forced row at mu = 1.7e308."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 3
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -1,6 +1,7 @@
 """Domain sweeps as deterministic tests: fixed random.Random draws whose
 recipe is fixed in advance; no arm is re-seeded, resized or dropped."""
 
+from collections import Counter
 import math
 import random
 
@@ -19,6 +20,16 @@ TRANSIENT_ARMS = 20
 HIGH_ORDER_ARM = weber.PhysicalConfig(q=0.0373, k2=33.8, A=1.13)
 # arms 3, 8 and 11 of the draws: DegenerateBasisError at t = 0
 TRANSIENT_REFUSED = 3
+# Wronskian clause: arms q ~ U(0.005, 0.2) times a random sign, k2 ~
+# U(0, 40), A ~ U(0, 2), drawn in that order from random.Random(11), the
+# other fields at their defaults; every arm is fitted at t = 0
+WRONSKIAN_SEED = 11
+WRONSKIAN_ARMS = 2000
+# 17 of the refusals (arms 6, 65, 175, 285, 309, 378, 623, 626, 658, 665,
+# 832, 835, 862, 969, 1563, 1707 and 1875), where x1 x2' leaves the
+# double range, were once fitted to constants of 0 or NaN
+WRONSKIAN_OUTCOMES = {"fitted": 1788, "OverflowRangeError": 89,
+                      "DegenerateBasisError": 86, "ConvergenceError": 37}
 
 
 def _transient_arms():
@@ -59,3 +70,23 @@ def test_transient_sweep_matches_oracle_or_refuses():
     refused = [i for i, cfg in enumerate(_transient_arms())
                if _check_transient_arm(cfg)]
     assert len(refused) == TRANSIENT_REFUSED, refused
+
+
+def test_wronskian_sweep_fits_finite_constants_or_refuses():
+    """Each arm gives finite constants, not both 0, or a typed error."""
+    rng = random.Random(WRONSKIAN_SEED)
+    outcomes = Counter()
+    for _ in range(WRONSKIAN_ARMS):
+        q = rng.uniform(0.005, 0.2) * rng.choice([1, -1])
+        k2 = rng.uniform(0.0, 40.0)
+        A = rng.uniform(0.0, 2.0)
+        cfg = weber.PhysicalConfig(q=q, k2=k2, A=A)
+        try:
+            sol = weber.solve_ivp(weber.map_params(cfg), cfg.x0, cfg.v0)
+        except WeberOscError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert math.isfinite(sol.C1) and math.isfinite(sol.C2), (cfg, sol)
+        assert (sol.C1, sol.C2) != (0.0, 0.0), (cfg, sol)
+        outcomes["fitted"] += 1
+    assert outcomes == WRONSKIAN_OUTCOMES

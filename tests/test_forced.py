@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from weberosc import dynamics, forced, oracle, specfun, weber
 from weberosc.errors import (ConfigError, ConvergenceError,
                              DegenerateBasisError, DomainError,
-                             RootNotFoundError)
+                             OverflowRangeError, RootNotFoundError)
 
 
 def test_find_tbar_sample_value(sample_coeffs):
@@ -187,14 +187,16 @@ def test_fit_of_unresolved_integrand_raises():
 
 def test_integrands_reject_degenerate_wronskian(sample_coeffs):
     """W identically 0 at even nu (beta = 12.5, nu = 12, where 1/Gamma(-6)
-    is exactly 0), then an E/W beyond the double range (beta = -1000,
-    where 1/Gamma(500.25) is): a typed error, not a ZeroDivisionError or
-    a silent 0."""
-    for beta in (12.5, -1000.0):
-        co = replace(sample_coeffs, beta=beta)
-        for integrand in (forced.integrand_c1, forced.integrand_c2):
-            with pytest.raises(DegenerateBasisError):
-                integrand(co, 1.0)
+    is exactly 0) is a DegenerateBasisError; an E/W beyond the double
+    range (beta = -1000, where 1/Gamma(500.25) is) is an
+    OverflowRangeError naming t: a typed error, not a ZeroDivisionError
+    or a silent 0."""
+    for integrand in (forced.integrand_c1, forced.integrand_c2):
+        with pytest.raises(DegenerateBasisError):
+            integrand(replace(sample_coeffs, beta=12.5), 1.0)
+        with pytest.raises(OverflowRangeError) as exc:
+            integrand(replace(sample_coeffs, beta=-1000.0), 1.0)
+        assert exc.value.t == 1.0
 
 
 @pytest.mark.parametrize("integrand, count", [(forced.integrand_c1, 1),
