@@ -17,7 +17,7 @@ class ConvergenceError(WeberOscError):
     """A series or quadrature failed to meet its tolerance."""
 
 
-class OverflowRangeError(WeberOscError):
+class OverflowRangeError(WeberOscError, OverflowError):
     """A closed-form evaluation left the representable double range."""
 
     def __init__(self, message, t=None):

@@ -19,6 +19,11 @@ is unsafe at |z| ~ 40 and beyond); a chain still running after
 ``_MAX_TERMS`` terms raises ``ConvergenceError``.  A sum whose largest
 term exceeds it by more than ``_WIDE_CANCEL`` is summed again exactly,
 in integer fixed point, and rounded once to a double.
+
+The public 1F1, Hermite and 1/Gamma functions raise ``DomainError`` for
+a non-finite argument and ``OverflowRangeError`` for a result beyond
+the double range; the kernels behind them, which the basis calls, do not
+check.
 """
 
 import functools
@@ -26,7 +31,8 @@ import math
 import numbers
 import sys
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import (ConvergenceError, DomainError, OverflowRangeError,
+                     PoleError)
 
 __all__ = [
     "reciprocal_gamma",
@@ -95,8 +101,37 @@ def _is_nonpositive_integer(x):
     return x <= 0.0 and x == math.floor(x)
 
 
+def _public(fn):
+    """fn as a public scalar function: a non-finite argument raises
+    DomainError, and a result beyond the double range, returned or
+    raised, OverflowRangeError.  The kernels behind it check neither,
+    so the basis path pays for no check per point."""
+    @functools.wraps(fn)
+    def checked(*args):
+        if not all(map(math.isfinite, args)):
+            raise DomainError("%s: arguments must be finite"
+                              % _call(fn, args))
+        try:
+            r = fn(*args)
+        except OverflowError as exc:
+            raise _beyond(fn, args) from exc
+        if not math.isfinite(r):
+            raise _beyond(fn, args)
+        return r
+    return checked
+
+
+def _beyond(fn, args):
+    return OverflowRangeError("%s leaves the double range" % _call(fn, args))
+
+
+def _call(fn, args):
+    return "%s(%s)" % (fn.__name__, ", ".join(map(repr, args)))
+
+
+@_public
 def reciprocal_gamma(x):
-    """1/Gamma(x) as a total function: exactly 0 at x = 0, -1, -2, ..."""
+    """1/Gamma(x), total across the poles: exactly 0 at x = 0, -1, -2, ..."""
     if x > 0.0:
         return math.exp(-math.lgamma(x))
     if x == math.floor(x):
@@ -109,6 +144,9 @@ def reciprocal_gamma(x):
         s = -s
     return s * math.exp(math.lgamma(1.0 - x)) / math.pi
 
+
+# unchecked, for the Hermite weights on the basis path
+_reciprocal_gamma = reciprocal_gamma.__wrapped__
 
 def _not_converged(a, b, z):
     return ConvergenceError(
@@ -266,12 +304,14 @@ def _check_pole(b):
         raise PoleError("1F1 pole: b = %g is a non-positive integer" % b)
 
 
+@_public
 def kummer_1f1(a, b, z):
     """Kummer confluent hypergeometric 1F1(a; b; z) for real arguments."""
     _check_pole(b)
     return _hyp1f1(a, b, z)
 
 
+@_public
 def kummer_1f1_dz(a, b, z):
     """d/dz 1F1(a; b; z) = (a/b) * 1F1(a+1; b+1; z); exactly a/b at 0."""
     _check_pole(b)
@@ -281,7 +321,8 @@ def kummer_1f1_dz(a, b, z):
 def _hermite_weights(nu):
     """(g1, g2, sqrt(pi) 2^nu) with g1 = 1/Gamma((1-nu)/2) and
     g2 = 1/Gamma(-nu/2), the weights of H_nu's two Kummer members."""
-    return (reciprocal_gamma(0.5 * (1.0 - nu)), reciprocal_gamma(-0.5 * nu),
+    return (_reciprocal_gamma(0.5 * (1.0 - nu)),
+            _reciprocal_gamma(-0.5 * nu),
             math.sqrt(math.pi) * math.pow(2.0, nu))
 
 
@@ -313,8 +354,8 @@ def _hermite_recessive(nu, u):
     t^m e^{-t^2 - 2ut}.  The two integrands differ by a factor t, so one
     exp per node serves both; t^m sits inside that exp.  The pair is
     then recurred upward, H_{k+1} = 2u H_k - 2k H_{k-1}, which H_nu
-    dominates for u >= 0.  Raises OverflowError when the result leaves
-    the double range.
+    dominates for u >= 0.  Raises OverflowRangeError when the result
+    leaves the double range.
     """
     if nu < -1.0:
         n = 0
@@ -360,10 +401,12 @@ def _hermite_recessive(nu, u):
     for j in range(n):
         h, h_prev = u2 * h - 2.0 * (s + j) * h_prev, h
     if not (math.isfinite(h) and math.isfinite(h_prev)):
-        raise OverflowError("H_%g(%g) leaves the double range" % (nu, u))
+        raise OverflowRangeError("H_%g(%g) leaves the double range"
+                                 % (nu, u))
     return h, h_prev
 
 
+@_public
 def hermite_h(nu, z):
     """Hermite function H_nu(z) of arbitrary real order nu."""
     if z >= 0.0:
@@ -371,6 +414,7 @@ def hermite_h(nu, z):
     return _hermite(nu, z)
 
 
+@_public
 def hermite_h_dz(nu, z):
     """d/dz H_nu(z) = 2 nu H_{nu-1}(z)."""
     if z >= 0.0:

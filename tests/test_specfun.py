@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from weberosc import specfun
-from weberosc.errors import ConvergenceError, DomainError, PoleError
+from weberosc.errors import (ConvergenceError, DomainError,
+                             OverflowRangeError, PoleError)
 
 # ---------------------------------------------------------------- references
 
@@ -268,6 +269,25 @@ def test_kummer_pole_rejected():
         specfun.kummer_1f1(0.5, 0.0, 1.0)
     with pytest.raises(PoleError):
         specfun.kummer_1f1_dz(0.5, -3.0, 1.0)
+
+
+@pytest.mark.parametrize("fn, args, error", [
+    (specfun.hermite_h, (413.6, -1.0), OverflowRangeError),
+    (specfun.hermite_h, (413.6, 1.0), OverflowRangeError),
+    (specfun.hermite_h_dz, (413.6, -1.0), OverflowRangeError),
+    (specfun.reciprocal_gamma, (-200.5,), OverflowRangeError),
+    (specfun.hermite_h, (300.0, -20.0), OverflowRangeError),
+    (specfun.hermite_h, (math.nan, 1.0), DomainError),
+    (specfun.hermite_h, (math.inf, 1.0), DomainError),
+    (specfun.kummer_1f1, (1.0, 0.5, math.nan), DomainError),
+    (specfun.hermite_h, (2.0, -math.inf), DomainError),
+])
+def test_public_scalars_raise_typed_errors(fn, args, error):
+    """A result beyond the double range, raised or returned as inf, is an
+    OverflowRangeError; a non-finite argument is a DomainError at once,
+    not a bare ValueError or a 500-term ConvergenceError."""
+    with pytest.raises(error):
+        fn(*args)
 
 
 def test_series_term_budget_exhausted():
