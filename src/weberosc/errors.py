@@ -18,7 +18,9 @@ class ConvergenceError(WeberOscError):
 
 
 class OverflowRangeError(WeberOscError, OverflowError):
-    """A closed-form evaluation left the representable double range."""
+    """A closed-form evaluation left the representable double range.
+
+    Also an ``OverflowError``, as ``DomainError`` is a ``ValueError``."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

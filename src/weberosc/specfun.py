@@ -102,31 +102,25 @@ def _is_nonpositive_integer(x):
 
 
 def _public(fn):
-    """fn as a public scalar function: a non-finite argument raises
-    DomainError, and a result beyond the double range, returned or
-    raised, OverflowRangeError.  The kernels behind it check neither,
-    so the basis path pays for no check per point."""
+    """fn with the checks of a public scalar function (see above)."""
     @functools.wraps(fn)
     def checked(*args):
         if not all(map(math.isfinite, args)):
-            raise DomainError("%s: arguments must be finite"
-                              % _call(fn, args))
+            raise _error(DomainError, fn, args, "needs finite arguments")
         try:
             r = fn(*args)
         except OverflowError as exc:
-            raise _beyond(fn, args) from exc
+            raise _error(OverflowRangeError, fn, args,
+                         "leaves the double range") from exc
         if not math.isfinite(r):
-            raise _beyond(fn, args)
+            raise _error(OverflowRangeError, fn, args,
+                         "leaves the double range")
         return r
     return checked
 
 
-def _beyond(fn, args):
-    return OverflowRangeError("%s leaves the double range" % _call(fn, args))
-
-
-def _call(fn, args):
-    return "%s(%s)" % (fn.__name__, ", ".join(map(repr, args)))
+def _error(cls, fn, args, what):
+    return cls("%s(%s) %s" % (fn.__name__, ", ".join(map(repr, args)), what))
 
 
 @_public
@@ -147,6 +141,7 @@ def reciprocal_gamma(x):
 
 # unchecked, for the Hermite weights on the basis path
 _reciprocal_gamma = reciprocal_gamma.__wrapped__
+
 
 def _not_converged(a, b, z):
     return ConvergenceError(
