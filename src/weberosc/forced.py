@@ -1,16 +1,15 @@
 """Forced case x'' + A x' - (a t^2 + b t + c) x = mu by variation of constants.
 
-The Lagrange coefficients c1, c2 are integrals of x2/W and x1/W, which
-have no closed antiderivative.  The Wronskian W has a closed form
-(``weber.envelope_over_wronskian``), so each integrand evaluates one
-member of the pair, E 1F1(-nu/2; 1/2; u^2) or E H_nu(u), and not the
-whole basis.  Each integrand is expanded in a Fourier-Bessel series of
-J0(alpha_k t / t_bar) on [0, t_bar], where t_bar is the integrand's
-first root past the physical horizon, so that termwise integration
-stays exact (the truncation happens after the integration, not
-before).  All coefficients of an expansion come from one composite
-Gauss-Legendre grid: the integrand is evaluated once per node, and a
-fit on half as many panels checks the result.
+The Lagrange coefficients c1, c2 are integrals of x2/W and x1/W
+(``weber.x2_over_wronskian``, ``weber.x1_over_wronskian``), which have
+no closed antiderivative.  Each integrand is expanded in a
+Fourier-Bessel series of J0(alpha_k t / t_bar) on [0, t_bar], where
+alpha_k is the k-th zero of J0 and t_bar the integrand's first root past
+the physical horizon, so that termwise integration stays exact (the
+truncation happens after the integration, not before).  An expansion
+stores t_bar and B only.  All coefficients of an expansion come from one
+composite Gauss-Legendre grid: the integrand is evaluated once per node,
+and a fit on half as many panels checks the result.
 """
 
 from dataclasses import dataclass, replace
@@ -39,41 +38,16 @@ _BLOCK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class FourierBesselExpansion:
-    """Expansion f(t) ~ sum_k B_k J0(alpha_k t / t_bar) on [0, t_bar]."""
+    """Expansion f(t) ~ sum_k B_k J0(alpha_k t / t_bar) on [0, t_bar],
+    where alpha_k is entry k of ``specfun.bessel_j0_zeros(len(B))``."""
 
     t_bar: float
-    alphas: tuple
     B: tuple
 
 
-def _over_wronskian(coeffs: WeberCoefficients, t: float, member) -> float:
-    """member(nu, u(t)) E(t) / W(t), with the closed-form W of
-    ``weber.envelope_over_wronskian``: one member of the pair, and not
-    the whole basis, per call.  A value outside the double range raises
-    ``weber._overflow(t)``, as in the basis."""
-    ew = weber.envelope_over_wronskian(coeffs, t)
-    u = (coeffs.b + 2.0 * coeffs.a * t) / (2.0 * coeffs.a ** 0.75)
-    try:
-        v = ew * member(coeffs.beta - 0.5, u)
-    except OverflowError as exc:
-        raise weber._overflow(t) from exc
-    return weber._finite((v,), t)[0]
-
-
-def _kummer(nu, u):
-    return specfun.kummer_1f1(-0.5 * nu, 0.5, u * u)
-
-
-def integrand_c1(coeffs: WeberCoefficients, t: float) -> float:
-    """x2(t) / W(t) = E(t) 1F1(-nu/2; 1/2; u^2) / W(t): the
-    (sign-stripped) derivative of c1 per unit mu."""
-    return _over_wronskian(coeffs, t, _kummer)
-
-
-def integrand_c2(coeffs: WeberCoefficients, t: float) -> float:
-    """x1(t) / W(t) = E(t) H_nu(u) / W(t): the derivative of c2 per unit
-    mu."""
-    return _over_wronskian(coeffs, t, specfun.hermite_h)
+# the Lagrange integrands: c1' = -mu x2/W and c2' = mu x1/W
+integrand_c1 = weber.x2_over_wronskian
+integrand_c2 = weber.x1_over_wronskian
 
 
 def _bracketed_root(fn, a, fa, b, fb):
@@ -151,14 +125,13 @@ def fourier_bessel_fit(fn, t_bar: float, n_terms: int) -> FourierBesselExpansion
         raise ConvergenceError(
             "Fourier-Bessel fit: %d- and %d-panel coefficients differ by "
             "%.3g against max |B| = %.3g" % (panels, 2 * panels, delta, scale))
-    return FourierBesselExpansion(t_bar=t_bar, alphas=tuple(alphas.tolist()),
-                                  B=tuple(B.tolist()))
+    return FourierBesselExpansion(t_bar=t_bar, B=tuple(B.tolist()))
 
 
 def eval_expansion(exp: FourierBesselExpansion, t: float) -> float:
     """Partial sum sum_k B_k J0(alpha_k t / t_bar)."""
-    return float(np.dot(exp.B, specfun.bessel_j0(
-        np.multiply(exp.alphas, t / exp.t_bar))))
+    alphas = specfun.bessel_j0_zeros(len(exp.B))
+    return float(np.dot(exp.B, specfun.bessel_j0(alphas * (t / exp.t_bar))))
 
 
 def integrate_expansion(exp: FourierBesselExpansion, t: float) -> float:
@@ -169,9 +142,9 @@ def integrate_expansion(exp: FourierBesselExpansion, t: float) -> float:
     integrals of all terms come from one ``specfun.bessel_j0_integral``
     call, a Gauss-Legendre panel sum on J0.
     """
-    return float(np.dot(np.divide(exp.B, exp.alphas) * exp.t_bar,
-                        specfun.bessel_j0_integral(
-                            np.multiply(exp.alphas, t / exp.t_bar))))
+    alphas = specfun.bessel_j0_zeros(len(exp.B))
+    return float(np.dot(np.divide(exp.B, alphas) * exp.t_bar,
+                        specfun.bessel_j0_integral(alphas * (t / exp.t_bar))))
 
 
 @dataclass(frozen=True)

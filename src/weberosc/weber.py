@@ -5,7 +5,8 @@ order and a Kummer function, both evaluated at arguments linear in t and
 damped by a shared Gaussian-exponential envelope.  The q = 0 case
 (a = b = 0) degenerates to a constant-coefficient oscillator whose exact
 exponential pair (not a limit of the first) is fitted and evaluated
-through the same Wronskian formulas.
+through the same Wronskian formulas.  x1/W and x2/W, with W in closed
+form, are the integrands of the forced case.
 """
 
 from dataclasses import dataclass, fields
@@ -250,6 +251,29 @@ def envelope_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
     except OverflowError as exc:
         raise _overflow(t) from exc
     return sign * _finite((q,), t)[0]
+
+
+def _member_over_wronskian(coeffs: WeberCoefficients, t: float,
+                           member) -> float:
+    # member(nu, u(t)) E(t) / W(t), with W in closed form
+    ew = envelope_over_wronskian(coeffs, t)
+    u = (coeffs.b + 2.0 * coeffs.a * t) / (2.0 * coeffs.a ** 0.75)
+    try:
+        v = ew * member(coeffs.beta - 0.5, u)
+    except OverflowError as exc:
+        raise _overflow(t) from exc
+    return _finite((v,), t)[0]
+
+
+def x1_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
+    """x1(t) / W(t) = E(t) H_nu(u) / W(t): one Hermite call, no basis."""
+    return _member_over_wronskian(coeffs, t, specfun.hermite_h)
+
+
+def x2_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
+    """x2(t) / W(t) = E(t) 1F1(-nu/2; 1/2; u^2) / W(t): one Kummer call."""
+    return _member_over_wronskian(
+        coeffs, t, lambda nu, u: specfun.kummer_1f1(-0.5 * nu, 0.5, u * u))
 
 
 @dataclass(frozen=True)
