@@ -177,6 +177,8 @@ def cmd_polar(args) -> int:
         theta_max = config.omega0 / (2.0 * config.q)
     else:
         raise ConfigError("polar requires q > 0 or an explicit --theta-max")
+    # the flag's value, not its first sample past the branch, is refused
+    dynamics.t_of_theta(config, theta_max)
     coeffs = weber.map_params(config)
     sol = weber.solve_ivp(coeffs, config.x0, config.v0)
     n = args.samples

@@ -15,7 +15,8 @@ import math
 import numbers
 
 from . import specfun
-from .errors import ConfigError, DegenerateBasisError, OverflowRangeError
+from .errors import (ConfigError, DegenerateBasisError, DomainError,
+                     OverflowRangeError)
 
 # |A^2 + 4c| below this is treated as critical damping in the q = 0 branch
 _CRITICAL_TIE = 1e-12
@@ -134,6 +135,7 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
     a, b, A, beta = coeffs.a, coeffs.b, coeffs.A, coeffs.beta
     if not a > 0.0:
         raise ConfigError("evaluate_basis requires a > 0 (got a = %g)" % a)
+    _finite_t(t)
     sqa = math.sqrt(a)
     a34 = a ** 0.75
     nu = beta - 0.5
@@ -159,10 +161,16 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
     return _finite((x1, x2, x1dot, x2dot), t)
 
 
-# the only code that turns an inf, a NaN or an OverflowError into an error
+# the only code that turns a computed inf, a NaN or an OverflowError into
+# an error; a NaN or infinite input t is a DomainError from _finite_t
 def _overflow(t):
     return OverflowRangeError("a value left the double range at t = %g" % t,
                               t=t)
+
+
+def _finite_t(t):
+    if not math.isfinite(t):
+        raise DomainError("t must be finite, got %r" % (t,))
 
 
 def _finite(values, t):
@@ -181,6 +189,7 @@ def _fundamental_pair(coeffs: WeberCoefficients, t: float):
         return evaluate_basis(coeffs, t)
     if coeffs.a != 0.0 or coeffs.b != 0.0:
         raise ConfigError("constant branch requires a = b = 0")
+    _finite_t(t)
     try:
         return _finite(_constant_pair(coeffs.A, coeffs.c, t), t)
     except OverflowError as exc:
@@ -235,6 +244,7 @@ def envelope_over_wronskian(coeffs: WeberCoefficients, t: float) -> float:
     if not a > 0.0:
         raise ConfigError("closed-form Wronskian requires a > 0 (got a = %g)"
                           % a)
+    _finite_t(t)
     k = 0.25 - 0.5 * beta  # -nu/2
     if k <= 0.0 and k == math.floor(k):
         raise DegenerateBasisError(

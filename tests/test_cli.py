@@ -75,6 +75,13 @@ def test_transient_oracle_flag(tmp_path, capsys):
                    "--samples", "21", "--oracle", "--out", str(tmp_path)])
     assert rc == 0
     assert "max_rel_err=" in capsys.readouterr().out
+    # x0 = 2 lies past the rod end L = 1: no sample is kept, none checked
+    cfg = tmp_path / "off_rod.json"
+    cfg.write_text(json.dumps({"x0": 2.0}))
+    rc = cli.main(["transient", "--preset", "II", "--drag", "1", "--oracle",
+                   "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    assert "max_rel_err=-" in capsys.readouterr().out
 
 
 def test_transient_default_drag_set(tmp_path):
@@ -114,6 +121,24 @@ def test_config_not_a_dict(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("[1, 2]")
     assert cli.main(["transient", "--config", str(cfg)]) == 2
+
+
+def test_config_malformed_json(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"x0": 2.0')
+    assert cli.main(["transient", "--config", str(cfg)]) == 2
+    assert "config %s: Expecting" % cfg in capsys.readouterr().err
+
+
+def test_write_csv_leaves_nothing_when_a_row_fails(tmp_path):
+    """A row that raises midway leaves neither the target nor a .tmp."""
+    def rows():
+        yield (1.0, 2.0)
+        raise ConfigError("row 2")
+
+    with pytest.raises(ConfigError):
+        cli.write_csv(str(tmp_path / "out.csv"), ["a", "b"], rows())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_missing_file(tmp_path):
@@ -400,12 +425,17 @@ def test_polar_requires_theta_max_when_q_not_positive(tmp_path):
                      "--out", str(tmp_path)]) == 0
 
 
-def test_polar_rejects_negative_theta_max(tmp_path, capsys):
-    """theta < 0 lies before the motion starts on every branch of q."""
-    assert cli.main(["polar", "--preset", "III", "--theta-max", "-2",
+@pytest.mark.parametrize("preset, theta_max", [("III", "-2"), ("I", "-1"),
+                                               ("I", "100")])
+def test_polar_rejects_negative_theta_max(tmp_path, capsys, preset,
+                                          theta_max):
+    """theta < 0 lies before the motion starts on every branch of q, and
+    past w0 / (2 q) = 15 (preset I) the arm has stopped: the refusal names
+    the value given, not the first sample past the range."""
+    assert cli.main(["polar", "--preset", preset, "--theta-max", theta_max,
                      "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "polar.csv").exists()
-    assert "theta" in capsys.readouterr().err
+    assert "theta = %s outside" % theta_max in capsys.readouterr().err
 
 
 def test_tol_env_override(tmp_path, monkeypatch):

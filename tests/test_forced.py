@@ -106,6 +106,13 @@ def test_find_root_after_no_sign_change():
         forced.find_root_after(lambda t: 1.0 + t, 0.0)
 
 
+def test_root_at_a_sampled_point_is_returned():
+    """A midpoint or a scan point where fn is exactly 0 is the root."""
+    assert forced._bracketed_root(lambda t: t - 1.5, 1.0, -0.5, 2.0, 0.5) \
+        == 1.5
+    assert forced.find_root_after(lambda t: t - 10.0, 10.0) == 10.0
+
+
 def test_integrands_match_prefactor_form(sample_coeffs):
     """The c1' closed form with explicit 1/W(0)-style prefactor equals
     -x2/W: the -8 a^2 / (4 a^{3/2} - b^2 + a (A^2 + 4c)) constant is
@@ -198,6 +205,11 @@ def test_integrands_reject_degenerate_wronskian(sample_coeffs):
         with pytest.raises(OverflowRangeError) as exc:
             integrand(replace(sample_coeffs, beta=-1000.0), 1.0)
         assert exc.value.t == 1.0
+    # a member beyond the double range: H_413.6(0) on a slow spin-down arm
+    slow = weber.map_params(weber.PhysicalConfig(q=0.004, A=0.5))
+    with pytest.raises(OverflowRangeError) as exc:
+        forced.integrand_c2(slow, 250.0)
+    assert exc.value.t == 250.0
 
 
 @pytest.mark.parametrize("integrand, count", [(forced.integrand_c1, 1),
@@ -308,6 +320,18 @@ def test_single_term_integral_identity():
                                       -a1 * a1 * t * t / (4.0 * tb * tb)))
         assert forced.integrate_expansion(exp, t) == pytest.approx(
             hyp, rel=1e-10)
+
+
+def test_reconstruction_error_of_zero_function():
+    """Against f == 0 the error is the fit's own norm: 0 for its fit."""
+    exp = forced.fourier_bessel_fit(lambda t: 0.0, 2.0, 4)
+    assert forced.reconstruction_error(exp, lambda t: 0.0) == 0.0
+
+
+def test_default_terms_follow_drag(fit30_undamped, undamped_coeffs):
+    """Without n_terms an undamped arm is fitted with 30 terms."""
+    fs = forced.variation_constants(undamped_coeffs, 1.0)
+    assert (fs.exp1, fs.exp2) == (fit30_undamped.exp1, fit30_undamped.exp2)
 
 
 def test_reconstruction_error_damped_sample(fit200, sample_coeffs):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weberosc import dynamics, oracle, specfun, weber
-from weberosc.errors import (ConfigError, DegenerateBasisError,
+from weberosc.errors import (ConfigError, DegenerateBasisError, DomainError,
                              OverflowRangeError, WeberOscError)
 
 
@@ -294,6 +294,25 @@ def test_evaluate_basis_requires_positive_a():
     co = weber.WeberCoefficients(a=0.0, b=0.0, c=-1.0, A=0.0, beta=None)
     with pytest.raises(ConfigError):
         weber.evaluate_basis(co, 1.0)
+    with pytest.raises(ConfigError):
+        weber.envelope_over_wronskian(co, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, q", [
+    ("evaluate_basis", 0.1), ("wronskian", 0.1), ("eval_solution", 0.1),
+    ("envelope_over_wronskian", 0.1), ("x1_over_wronskian", 0.1),
+    ("x2_over_wronskian", 0.1), ("wronskian", 0.0), ("eval_solution", 0.0)])
+def test_non_finite_time_is_domain_error(name, q, t):
+    """A NaN or infinite t is a DomainError on both branches, before any
+    series is summed (the forced integrands are x2/W and x1/W): not a
+    ConvergenceError after 500 terms, an OverflowRangeError at t = nan,
+    or the ValueError of cos(inf) in the oscillatory q = 0 pair."""
+    coeffs = weber.map_params(weber.PhysicalConfig(q=q, k2=20.0))
+    arg = (weber.solve_ivp(coeffs, 0.0, 1.0) if name == "eval_solution"
+           else coeffs)
+    with pytest.raises(DomainError, match="t must be finite"):
+        getattr(weber, name)(arg, t)
 
 
 def test_overflow_reports_time():
