@@ -213,7 +213,8 @@ def test_integrands_reject_degenerate_wronskian(sample_coeffs):
 
 
 @pytest.mark.parametrize("integrand, count", [(forced.integrand_c1, 1),
-                                              (forced.integrand_c2, 2)])
+                                              (forced.integrand_c2, 2)],
+                         ids=["integrand_c1-1", "integrand_c2-2"])
 def test_integrand_sums_one_member(sample_coeffs, monkeypatch, integrand,
                                    count):
     """With W in closed form, x2/W sums only the Kummer series and x1/W
