@@ -13,12 +13,13 @@ All functions are pure and thread-safe.
 Every 1F1 is one chain: a pass over the terms t_n of its series that
 keeps two Kahan-compensated sums, sum t_n and sum (c0 + c1 n) t_n, the
 second a derivative where one is wanted (DLMF 13.3(ii)) and zero where
-not.  Each sum stops once three consecutive terms, counted only once the
-terms have stopped growing, stay below ``_REL_TOL`` times it (one term
-is unsafe at |z| ~ 40 and beyond); a chain still running after
-``_MAX_TERMS`` terms raises ``ConvergenceError``.  A sum whose largest
-term exceeds it by more than ``_WIDE_CANCEL`` is summed again exactly,
-in integer fixed point, and rounded once to a double.
+not.  Each sum stops at its first term t that is 0, or that is at most
+``_REL_TOL`` times the sum s and bounds the tail geometrically: with r
+the ratio to the next term, falling, |t| |r| <= (1 - |r|) _REL_TOL |s|.
+A chain still running after ``_MAX_TERMS`` terms raises
+``ConvergenceError``.  A sum whose largest term exceeds it by more than
+``_WIDE_CANCEL`` is summed again exactly, in integer fixed point, and
+rounded once to a double.
 
 The public 1F1, Hermite and 1/Gamma functions raise ``DomainError`` for
 a non-finite argument and ``OverflowRangeError`` for a result beyond
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 _MAX_TERMS = 500
-_REL_TOL = 1e-14
+_REL_TOL = 1e-15
 
 # A plain double summation keeps ~eps * (largest term / sum) relative
 # accuracy; beyond this magnitude ratio a 1F1 sum is summed again in
@@ -154,30 +155,31 @@ def _hyp1f1_chain(a, b, z, c0, c1):
     the value of 1F1 and its companion, from one pass over the terms.
 
     Each sum stops by its own terms and is frozen there, so the value
-    does not depend on c0 and c1.  A sum that cancels sends the chain to
-    the exact rerun, whose companion is then kept and whose value
-    replaces only a cancelling one.  A small term counts toward a stop
-    only where it is 0 or the next two term ratios r, r2 (carried ahead)
-    have |r| < 1 and |r2| <= |r|: for a a few ulp from -m, the terms
-    just past n = m are tiny while |r| climbs above 1 again, and the
-    tail regrows to about (a + m) e^z.
+    does not depend on c0 and c1: at its first term t_n that is 0, or
+    where |t_n| <= _REL_TOL |s| and the next two ratios r, r2 (carried
+    ahead) bound the tail geometrically, |t_n| |r| <= (1 - |r|) _REL_TOL
+    |s| with |r2| <= |r|.  For a a few ulp from -m the terms just past
+    n = m are tiny while |r| climbs above 1 again, and the tail regrows
+    to about (a + m) e^z.  The companion's bound uses the value's ratio
+    r; its own ratio is larger by (c0 + c1 (n + 1)) / (c0 + c1 n).  A
+    sum that cancels sends the chain to the exact rerun, whose companion
+    is then kept and whose value replaces only a cancelling one.
     """
     rel_tol = _REL_TOL
     term = 1.0
     s = 1.0
     comp = 0.0
     top = 1.0
-    below = 0
     sc = float(c0)
     compc = 0.0
     topc = abs(sc)
-    belowc = 0
+    done = donec = False
     r, r2 = a * z / b, (a + 1) * z / ((b + 1) * 2.0)
     # step k sums t_{k-1}, and r2 becomes t_{k+1} / t_k
     for k in range(2, _MAX_TERMS + 2):
         term *= r
         r, r2 = r2, (a + k) * z / ((b + k) * (k + 1.0))
-        if below < 3:
+        if not done:
             mag = abs(term)
             if mag > top:
                 top = mag
@@ -185,12 +187,10 @@ def _hyp1f1_chain(a, b, z, c0, c1):
             t = s + y
             comp = (t - s) - y
             s = t
-            if mag <= rel_tol * abs(s) and (
-                    mag == 0.0 or (abs(r) < 1.0 and abs(r2) <= abs(r))):
-                below += 1
-            else:
-                below = 0
-        if belowc < 3:
+            done = mag <= rel_tol * abs(s) and (mag == 0.0 or (
+                mag * abs(r) <= (1.0 - abs(r)) * rel_tol * abs(s)
+                and abs(r2) <= abs(r)))
+        if not donec:
             tc = (c0 + c1 * (k - 1.0)) * term
             mag = abs(tc)
             if mag > topc:
@@ -199,12 +199,10 @@ def _hyp1f1_chain(a, b, z, c0, c1):
             t = sc + y
             compc = (t - sc) - y
             sc = t
-            if mag <= rel_tol * abs(sc) and (
-                    mag == 0.0 or (abs(r) < 1.0 and abs(r2) <= abs(r))):
-                belowc += 1
-            else:
-                belowc = 0
-        if below == 3 and belowc == 3:
+            donec = mag <= rel_tol * abs(sc) and (mag == 0.0 or (
+                mag * abs(r) <= (1.0 - abs(r)) * rel_tol * abs(sc)
+                and abs(r2) <= abs(r)))
+        if done and donec:
             break
     else:
         raise _not_converged(a, b, z)
@@ -221,15 +219,15 @@ def _hyp1f1_chain_exact(a, b, z, c0, c1):
     summed in integer fixed point.
 
     a, b and z enter as the exact rationals their doubles are; each
-    term, scaled by 2^_FIX_BITS, is floor-divided once per step, and
-    each sum stops by the float rule, with _REL_TOL and the ratios of
-    the terms as exact rationals, and is rounded once to a double by
-    int / int.
+    term, scaled by 2^_FIX_BITS, is floor-divided once per step; each
+    sum stops by the float rule in integers, with _REL_TOL = num / den
+    and r = p / q: |t| |p| den <= num |s| (|q| - |p|), and is rounded
+    once to a double by int / int.
     """
     pa, qa = a.as_integer_ratio()
     pb, qb = b.as_integer_ratio()
     pz, qz = z.as_integer_ratio()
-    tol_num, tol_den = _REL_TOL.as_integer_ratio()
+    num, den = _REL_TOL.as_integer_ratio()
     # t_{k+1} / t_k = (pa + k qa) pz qb / ((pb + k qb) (k + 1) qa qz),
     # carried ahead as p / q and p2 / q2 as in the float chain
     zq = pz * qb
@@ -237,31 +235,27 @@ def _hyp1f1_chain_exact(a, b, z, c0, c1):
     one = 1 << _FIX_BITS
     term = s = one
     sc = c0 * one
-    below = belowc = 0
+    done = donec = False
     p, q = pa * zq, pb * dq
     p2, q2 = (pa + qa) * zq, (pb + qb) * 2 * dq
     for k in range(2, _MAX_TERMS + 2):
         term = term * p // q
         p, q = p2, q2
         p2, q2 = (pa + k * qa) * zq, (pb + k * qb) * (k + 1) * dq
-        if below < 3:
+        if not done:
             s += term
-            if abs(term) * tol_den <= tol_num * abs(s) and (
-                    term == 0 or (abs(p) < abs(q)
-                                and abs(p2 * q) <= abs(p * q2))):
-                below += 1
-            else:
-                below = 0
-        if belowc < 3:
+            mag = abs(term)
+            done = mag * den <= num * abs(s) and (mag == 0 or (
+                mag * abs(p) * den <= num * abs(s) * (abs(q) - abs(p))
+                and abs(p2 * q) <= abs(p * q2)))
+        if not donec:
             tc = (c0 + c1 * (k - 1)) * term
             sc += tc
-            if abs(tc) * tol_den <= tol_num * abs(sc) and (
-                    tc == 0 or (abs(p) < abs(q)
-                                and abs(p2 * q) <= abs(p * q2))):
-                belowc += 1
-            else:
-                belowc = 0
-        if below == 3 and belowc == 3:
+            mag = abs(tc)
+            donec = mag * den <= num * abs(sc) and (mag == 0 or (
+                mag * abs(p) * den <= num * abs(sc) * (abs(q) - abs(p))
+                and abs(p2 * q) <= abs(p * q2)))
+        if done and donec:
             return s / one, sc / one
     raise _not_converged(a, b, z)
 

@@ -392,7 +392,8 @@ def test_kummer_ode_residual_random(a, b, z):
        z=st.floats(10.0, 110.0))
 def test_kummer_1f1_wide_rerun_against_mpmath(a, b, z):
     """Where cancellation sends a series to the exact integer rerun, the
-    result is a float within 1e-13 of mpmath at 40 digits."""
+    result is a float within 2e-15 of mpmath at 40 digits (10,000
+    rerun draws of this domain measured at most 1.06e-15)."""
     with mock.patch.object(specfun, "_hyp1f1_chain_exact",
                            wraps=specfun._hyp1f1_chain_exact) as rerun:
         y = specfun.kummer_1f1(a, b, z)
@@ -400,15 +401,18 @@ def test_kummer_1f1_wide_rerun_against_mpmath(a, b, z):
     assert type(y) is float
     with mpmath.workdps(40):
         ref = mpmath.hyp1f1(a, b, z)
-        assert float(abs((y - ref) / ref)) <= 1e-13
+        assert float(abs((y - ref) / ref)) <= 2e-15
 
 
 def test_kummer_1f1_near_integer_sweep():
     """a = -m moved 1 to 3 ulp either way (m = 1..30), b in {1/2, 3/2},
     z in {20, 35, 60, 100}: 1,440 points within the 1e-12 of the frozen
-    references, against mpmath at 40 digits.  Just past n = m the terms
-    are tiny and the tail then regrows, so a sum must not stop there."""
+    references, against mpmath at 40 digits, and the 756 of them that
+    take the exact rerun within 2e-15.  Just past n = m the terms are
+    tiny and the tail then regrows, and further on it stays flat for
+    some 30 terms, so a sum must stop at neither."""
     worst = []
+    worst_rerun = []
     with mpmath.workdps(40):
         for m in range(1, 31):
             for toward in (-math.inf, math.inf):
@@ -418,10 +422,17 @@ def test_kummer_1f1_near_integer_sweep():
                     for b in (0.5, 1.5):
                         for z in (20.0, 35.0, 60.0, 100.0):
                             ref = mpmath.hyp1f1(a, b, z)
-                            y = specfun.kummer_1f1(a, b, z)
-                            err = float(abs((y - ref) / ref))
-                            worst = max(worst, [err, (a, b, z)])
+                            with mock.patch.object(
+                                    specfun, "_hyp1f1_chain_exact",
+                                    wraps=specfun._hyp1f1_chain_exact
+                                    ) as rerun:
+                                y = specfun.kummer_1f1(a, b, z)
+                            err = [float(abs((y - ref) / ref)), (a, b, z)]
+                            worst = max(worst, err)
+                            if rerun.called:
+                                worst_rerun = max(worst_rerun, err)
     assert worst[0] <= 1e-12, worst
+    assert worst_rerun[0] <= 2e-15, worst_rerun
 
 
 @settings(max_examples=60, deadline=None)
