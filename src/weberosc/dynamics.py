@@ -44,7 +44,8 @@ class VerticalMotion:
         return cls(C3=c3, C4=c4, omega_bar=om, offset=off)
 
     def at(self, t: float):
-        """(z, z', z'') at time t."""
+        """(z, z', z'') at time t; a NaN or infinite t is a DomainError."""
+        weber._finite_t(t)
         ph = self.omega_bar * t + self.C4
         sn = math.sin(ph)
         return (self.C3 * sn + self.offset,
@@ -77,7 +78,9 @@ def _reaction_y(config: PhysicalConfig, t, x, xdot) -> float:
 
 
 def theta_of_t(config: PhysicalConfig, t: float) -> float:
-    """Arm rotation angle theta(t) = w0 (t - q t^2 / 2), theta(0) = 0."""
+    """Arm rotation angle theta(t) = w0 (t - q t^2 / 2), theta(0) = 0;
+    a NaN or infinite t is a DomainError."""
+    weber._finite_t(t)
     return config.omega0 * (t - 0.5 * config.q * t * t)
 
 

@@ -92,6 +92,14 @@ def test_theta_domain():
                 dynamics.t_of_theta(cfg, theta)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [dynamics.theta_of_t, dynamics.z_motion,
+                                dynamics.reaction_z])
+def test_non_finite_t_is_domain_error(fn, t):
+    with pytest.raises(DomainError, match="t must be finite"):
+        fn(weber.PhysicalConfig(), t)
+
+
 def test_polar_curve_matches_time_path(sample_config, sample_coeffs):
     sol = weber.solve_ivp(sample_coeffs, 0.0, 1.0)
     assert dynamics.polar_curve(sample_config, sol, 0.0) == \
