@@ -178,14 +178,15 @@ def cmd_polar(args) -> int:
     else:
         raise ConfigError("polar requires q > 0 or an explicit --theta-max")
     # the flag's value, not its first sample past the branch, is refused
-    dynamics.t_of_theta(config, theta_max)
+    t_max = dynamics.t_of_theta(config, theta_max)
     coeffs = weber.map_params(config)
     sol = weber.solve_ivp(coeffs, config.x0, config.v0)
+    x_at = weber.solution_table(sol, t_max)
     n = args.samples
     rows = []
     for i in range(n):
         theta = theta_max * i / (n - 1)
-        rows.append((theta, dynamics.polar_curve(config, sol, theta)))
+        rows.append((theta, x_at(dynamics.t_of_theta(config, theta))[0]))
     path = os.path.join(args.out, "polar.csv")
     write_csv(path, ["theta", "rho"], rows)
     print("polar preset=%s theta_max=%r samples=%d"

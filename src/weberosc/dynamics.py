@@ -168,7 +168,7 @@ def horizon(config: PhysicalConfig) -> float:
 def run_transient(config: PhysicalConfig,
                   n_samples: int = DEFAULT_N_SAMPLES) -> TransientResult:
     """Sample the unforced (mu = 0) state on a uniform grid, cut at the
-    first |x| > L."""
+    first |x| > L; the rows come from one ``weber.solution_table``."""
     if (isinstance(n_samples, bool)
             or not isinstance(n_samples, numbers.Integral) or n_samples < 2):
         raise ConfigError("n_samples must be an integer >= 2, got %r"
@@ -180,11 +180,12 @@ def run_transient(config: PhysicalConfig,
     vm = VerticalMotion.from_config(config)
     t_end = horizon(config)
     dt = t_end / (n_samples - 1)
+    x_at = weber.solution_table(sol, (n_samples - 1) * dt)
     samples = []
     t_trunc = None
     for i in range(n_samples):
         t = i * dt
-        x, xdot = weber.eval_solution(sol, t)
+        x, xdot = x_at(t)
         if abs(x) > config.L:
             t_trunc = t
             break

@@ -13,6 +13,7 @@ and a fit on half as many panels checks the result.
 """
 
 from dataclasses import dataclass, replace
+import functools
 import math
 import numbers
 
@@ -80,7 +81,8 @@ def find_root_after(fn, t_end: float) -> float:
         f_hi = fn(t_hi)
         if f_lo == 0.0:
             return t_lo
-        if f_lo * f_hi < 0.0:
+        # signs, not the product, which underflows to -0.0 for |f| < 1e-162
+        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
             return _bracketed_root(fn, t_lo, f_lo, t_hi, f_hi)
         t_lo, f_lo = t_hi, f_hi
     raise RootNotFoundError(
@@ -161,6 +163,12 @@ class ForcedSolution:
     exp1: FourierBesselExpansion  # fit of x2/W, feeds c1
     exp2: FourierBesselExpansion  # fit of x1/W, feeds c2
 
+    @functools.cached_property
+    def _basis(self):
+        # the basis of every row, on [0, min(t_bar1, t_bar2)]
+        return weber.basis_table(self.homogeneous.coeffs,
+                                 min(self.exp1.t_bar, self.exp2.t_bar))
+
 
 def default_n_terms(A: float) -> int:
     return 200 if A != 0.0 else 30
@@ -224,7 +232,7 @@ def eval_forced_parts(fs: ForcedSolution, t: float):
     c1 = -fs.mu * integrate_expansion(fs.exp1, t)
     c2 = fs.mu * integrate_expansion(fs.exp2, t)
     hom = fs.homogeneous
-    basis = weber.evaluate_basis(hom.coeffs, t)
+    basis = fs._basis(t)
     # the Lagrange constraint c1' x1 + c2' x2 = 0 is imposed analytically:
     # evaluating it from the truncated expansions instead would multiply
     # their tiny pointwise error by the ~1e15 basis magnitude at t = 0

@@ -1,52 +1,33 @@
 """Special functions backing every closed form in the package.
 
-Kummer's 1F1 is a scalar pure-Python series defined here.  A Hermite
-function of argument z < 0 is a Gamma-weighted pair of 1F1 series,
-combined here too; for z >= 0, where that pair cancels completely,
-H_nu comes from an exp-sinh quadrature of its integral representation
-at two orders below -1, recurred upward in the order.  J0, J1 and the
-J0 zeros come from :mod:`scipy.special`, and the J0 integral is a
-Gauss-Legendre panel sum on its ``j0``; scipy is imported on first use
-so that the closed-form transient path never loads numpy or scipy.
-All functions are pure and thread-safe.
-
-Every 1F1 is one chain: a pass over the terms t_n of its series that
-keeps two Kahan-compensated sums, sum t_n and sum (c0 + c1 n) t_n, the
-second a derivative where one is wanted (DLMF 13.3(ii)) and zero where
-not.  Each sum stops at its first term t that is 0, or that is at most
-``_REL_TOL`` times the sum s and bounds the tail geometrically: with r
-the ratio to the next term, falling, |t| |r| <= (1 - |r|) _REL_TOL |s|.
-A chain still running after ``_MAX_TERMS`` terms raises
-``ConvergenceError``.  A sum whose largest term exceeds it by more than
-``_WIDE_CANCEL`` is summed again exactly, in integer fixed point, and
-rounded once to a double.
-
-The public 1F1, Hermite and 1/Gamma functions raise ``DomainError`` for
-a non-finite argument and ``OverflowRangeError`` for a result beyond
-the double range; the kernels behind them, which the basis calls, do not
-check.
+Kummer's 1F1 is one pure-Python chain: one Kahan-compensated sum over
+the terms of its series, stopped by a geometric tail bound, summed again
+exactly in integer fixed point where it cancels by more than
+``_WIDE_CANCEL``.  A Hermite function of argument z < 0 is a
+Gamma-weighted pair of 1F1 series; for z >= 0, where that pair cancels
+completely, H_nu comes from an exp-sinh quadrature of its integral
+representation at two orders below -1, recurred upward in the order.  A
+derivative is a value of its own: d/dz 1F1(a; b; z) =
+(a/b) 1F1(a+1; b+1; z) (DLMF 13.3.15) and d/dz H_nu = 2 nu H_{nu-1}.
+J0, J1 and the J0 zeros come from :mod:`scipy.special`, and the J0
+integral is a Gauss-Legendre panel sum on its ``j0``; scipy is imported
+on first use so that the transient path never loads numpy or scipy.
+All functions are pure and thread-safe.  The public 1F1, Hermite and
+1/Gamma functions raise ``DomainError`` for a non-finite argument and
+``OverflowRangeError`` for a result beyond the double range; the
+kernels behind them do not.
 """
 
 import functools
 import math
 import numbers
-import sys
 
 from .errors import (ConvergenceError, DomainError, OverflowRangeError,
                      PoleError)
 
-__all__ = [
-    "reciprocal_gamma",
-    "kummer_1f1",
-    "kummer_1f1_dz",
-    "hermite_h",
-    "hermite_h_dz",
-    "bessel_j0",
-    "bessel_j1",
-    "bessel_j0_zero",
-    "bessel_j0_zeros",
-    "bessel_j0_integral",
-]
+__all__ = ["reciprocal_gamma", "kummer_1f1", "kummer_1f1_dz", "hermite_h",
+           "hermite_h_dz", "bessel_j0", "bessel_j1", "bessel_j0_zero",
+           "bessel_j0_zeros", "bessel_j0_integral"]
 
 _MAX_TERMS = 500
 _REL_TOL = 1e-15
@@ -58,10 +39,6 @@ _REL_TOL = 1e-15
 # reach the rerun
 _WIDE_CANCEL = 1e4
 _FIX_BITS = 120
-
-# a first term a z / b below the normal range has lost digits that
-# dividing the derivative's sum by z would expose
-_NORMAL_MIN = sys.float_info.min
 
 
 def _exp_sinh_sides():
@@ -96,10 +73,6 @@ _NODE_CUT = 1e-17
 # value (reached only for nu < -20) the rule is narrowed in y to keep
 # several nodes across the peak
 _PEAK_CURVATURE = 20.0
-
-
-def _is_nonpositive_integer(x):
-    return x <= 0.0 and x == math.floor(x)
 
 
 def _public(fn):
@@ -150,80 +123,45 @@ def _not_converged(a, b, z):
         "(a=%g, b=%g, z=%g)" % (_REL_TOL, _MAX_TERMS, a, b, z))
 
 
-def _hyp1f1_chain(a, b, z, c0, c1):
-    """(sum t_n, sum (c0 + c1 n) t_n) over the terms t_n of 1F1(a; b; z):
-    the value of 1F1 and its companion, from one pass over the terms.
-
-    Each sum stops by its own terms and is frozen there, so the value
-    does not depend on c0 and c1: at its first term t_n that is 0, or
-    where |t_n| <= _REL_TOL |s| and the next two ratios r, r2 (carried
-    ahead) bound the tail geometrically, |t_n| |r| <= (1 - |r|) _REL_TOL
+def _hyp1f1_chain(a, b, z):
+    """The sum s of the terms t_n of the series of 1F1(a; b; z), stopped
+    at its first t_n that is 0, or where |t_n| <= _REL_TOL |s| and the
+    next two ratios r, r2 bound the tail, |t_n| |r| <= (1 - |r|) _REL_TOL
     |s| with |r2| <= |r|.  For a a few ulp from -m the terms just past
-    n = m are tiny while |r| climbs above 1 again, and the tail regrows
-    to about (a + m) e^z.  The companion's bound uses the value's ratio
-    r; its own ratio is larger by (c0 + c1 (n + 1)) / (c0 + c1 n).  A
-    sum that cancels sends the chain to the exact rerun, whose companion
-    is then kept and whose value replaces only a cancelling one.
-    """
+    n = m are tiny while |r| climbs above 1 again, and the tail regrows to
+    about (a + m) e^z.  A sum that cancels is summed again exactly."""
     rel_tol = _REL_TOL
-    term = 1.0
-    s = 1.0
+    term = s = top = 1.0
     comp = 0.0
-    top = 1.0
-    sc = float(c0)
-    compc = 0.0
-    topc = abs(sc)
-    done = donec = False
     r, r2 = a * z / b, (a + 1) * z / ((b + 1) * 2.0)
     # step k sums t_{k-1}, and r2 becomes t_{k+1} / t_k
     for k in range(2, _MAX_TERMS + 2):
         term *= r
         r, r2 = r2, (a + k) * z / ((b + k) * (k + 1.0))
-        if not done:
-            mag = abs(term)
-            if mag > top:
-                top = mag
-            y = term - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-            done = mag <= rel_tol * abs(s) and (mag == 0.0 or (
+        mag = abs(term)
+        if mag > top:
+            top = mag
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        if mag <= rel_tol * abs(s) and (mag == 0.0 or (
                 mag * abs(r) <= (1.0 - abs(r)) * rel_tol * abs(s)
-                and abs(r2) <= abs(r)))
-        if not donec:
-            tc = (c0 + c1 * (k - 1.0)) * term
-            mag = abs(tc)
-            if mag > topc:
-                topc = mag
-            y = tc - compc
-            t = sc + y
-            compc = (t - sc) - y
-            sc = t
-            donec = mag <= rel_tol * abs(sc) and (mag == 0.0 or (
-                mag * abs(r) <= (1.0 - abs(r)) * rel_tol * abs(sc)
-                and abs(r2) <= abs(r)))
-        if done and donec:
+                and abs(r2) <= abs(r))):
             break
     else:
         raise _not_converged(a, b, z)
-    wide = top > _WIDE_CANCEL * abs(s)
-    if wide or topc > _WIDE_CANCEL * abs(sc):
-        exact, sc = _hyp1f1_chain_exact(a, b, z, c0, c1)
-        if wide:
-            s = exact
-    return s, sc
+    if top > _WIDE_CANCEL * abs(s):
+        return _hyp1f1_chain_exact(a, b, z)
+    return s
 
 
-def _hyp1f1_chain_exact(a, b, z, c0, c1):
-    """The two sums of ``_hyp1f1_chain``, for cancellation-heavy cases,
-    summed in integer fixed point.
-
-    a, b and z enter as the exact rationals their doubles are; each
-    term, scaled by 2^_FIX_BITS, is floor-divided once per step; each
-    sum stops by the float rule in integers, with _REL_TOL = num / den
-    and r = p / q: |t| |p| den <= num |s| (|q| - |p|), and is rounded
-    once to a double by int / int.
-    """
+def _hyp1f1_chain_exact(a, b, z):
+    """The sum of ``_hyp1f1_chain`` in integer fixed point, from the exact
+    rationals of a, b and z; each term, scaled by 2^_FIX_BITS, is
+    floor-divided once per step; the sum stops by the float rule in
+    integers, with _REL_TOL = num / den and r = p / q:
+    |t| |p| den <= num |s| (|q| - |p|), and is rounded once by int / int."""
     pa, qa = a.as_integer_ratio()
     pb, qb = b.as_integer_ratio()
     pz, qz = z.as_integer_ratio()
@@ -234,62 +172,31 @@ def _hyp1f1_chain_exact(a, b, z, c0, c1):
     dq = qa * qz
     one = 1 << _FIX_BITS
     term = s = one
-    sc = c0 * one
-    done = donec = False
     p, q = pa * zq, pb * dq
     p2, q2 = (pa + qa) * zq, (pb + qb) * 2 * dq
     for k in range(2, _MAX_TERMS + 2):
         term = term * p // q
         p, q = p2, q2
         p2, q2 = (pa + k * qa) * zq, (pb + k * qb) * (k + 1) * dq
-        if not done:
-            s += term
-            mag = abs(term)
-            done = mag * den <= num * abs(s) and (mag == 0 or (
+        s += term
+        mag = abs(term)
+        if mag * den <= num * abs(s) and (mag == 0 or (
                 mag * abs(p) * den <= num * abs(s) * (abs(q) - abs(p))
-                and abs(p2 * q) <= abs(p * q2)))
-        if not donec:
-            tc = (c0 + c1 * (k - 1)) * term
-            sc += tc
-            mag = abs(tc)
-            donec = mag * den <= num * abs(sc) and (mag == 0 or (
-                mag * abs(p) * den <= num * abs(sc) * (abs(q) - abs(p))
-                and abs(p2 * q) <= abs(p * q2)))
-        if done and donec:
-            return s / one, sc / one
+                and abs(p2 * q) <= abs(p * q2))):
+            return s / one
     raise _not_converged(a, b, z)
 
 
 def _hyp1f1(a, b, z):
-    """1F1(a; b; z) for real arguments, b not a non-positive integer.
-
-    Negative z is routed through the Kummer transformation
-    1F1(a;b;z) = e^z 1F1(b-a;b;-z) so the summed tail never alternates.
-    """
+    """1F1(a; b; z), b not a non-positive integer; negative z goes through
+    1F1(a;b;z) = e^z 1F1(b-a;b;-z), so the summed tail never alternates."""
     if z < 0.0:
-        return math.exp(z) * _hyp1f1_chain(b - a, b, -z, 0, 0)[0]
-    return _hyp1f1_chain(a, b, z, 0, 0)[0]
-
-
-def _kummer_pair(a, b, z):
-    """(1F1(a; b; z), d/dz 1F1(a; b; z)).
-
-    For z > 0 both come from one chain, the derivative as
-    sum n t_n / z.  Otherwise the derivative is the series
-    (a/b) 1F1(a + 1; b + 1; z) of its own: for z < 0, where the value
-    goes through the Kummer transformation and F - F' would cancel; at
-    z = 0; and where the first term a z / b is not a normal double,
-    whose lost digits the division by z would expose.
-    """
-    t1 = a * z
-    if z > 0.0 and abs(t1) >= _NORMAL_MIN and abs(t1 / b) >= _NORMAL_MIN:
-        s, sn = _hyp1f1_chain(a, b, z, 0, 1)
-        return s, sn / z
-    return _hyp1f1(a, b, z), (a / b) * _hyp1f1(a + 1.0, b + 1.0, z)
+        return math.exp(z) * _hyp1f1_chain(b - a, b, -z)
+    return _hyp1f1_chain(a, b, z)
 
 
 def _check_pole(b):
-    if _is_nonpositive_integer(b):
+    if b <= 0.0 and b == math.floor(b):
         raise PoleError("1F1 pole: b = %g is a non-positive integer" % b)
 
 
@@ -304,7 +211,7 @@ def kummer_1f1(a, b, z):
 def kummer_1f1_dz(a, b, z):
     """d/dz 1F1(a; b; z) = (a/b) * 1F1(a+1; b+1; z); exactly a/b at 0."""
     _check_pole(b)
-    return _kummer_pair(a, b, z)[1]
+    return (a / b) * _hyp1f1(a + 1.0, b + 1.0, z)
 
 
 def _hermite_weights(nu):
@@ -317,19 +224,16 @@ def _hermite_weights(nu):
 
 def _hermite(nu, z):
     """H_nu(z) = sqrt(pi) 2^nu (g1 F(-nu/2; 1/2) - g2 2z F((1-nu)/2; 3/2))
-    with F(a; b) = 1F1(a; b; z^2), for z < 0.
-
-    The 1/Gamma weights make the expression total: a term whose weight
-    sits at a pole is exactly zero, and its series is not summed.
-    """
+    with F(a; b) = 1F1(a; b; z^2), for z < 0; a term whose 1/Gamma weight
+    sits at a pole is exactly zero, and its series is not summed."""
     g1, g2, scale = _hermite_weights(nu)
     w = z * z
     t1 = 0.0
     if g1 != 0.0:
-        t1 = g1 * _hyp1f1_chain(-0.5 * nu, 0.5, w, 0, 0)[0]
+        t1 = g1 * _hyp1f1_chain(-0.5 * nu, 0.5, w)
     t2 = 0.0
     if g2 != 0.0:
-        t2 = g2 * 2.0 * z * _hyp1f1_chain(0.5 * (1.0 - nu), 1.5, w, 0, 0)[0]
+        t2 = g2 * 2.0 * z * _hyp1f1_chain(0.5 * (1.0 - nu), 1.5, w)
     return scale * (t1 - t2)
 
 
@@ -408,38 +312,8 @@ def hermite_h_dz(nu, z):
     """d/dz H_nu(z) = 2 nu H_{nu-1}(z)."""
     if z >= 0.0:
         return 2.0 * nu * _hermite_recessive(nu, z)[1]
-    return _hermite_kummer(nu, z)[1]
+    return 2.0 * nu * _hermite(nu - 1.0, z)
 
-
-def _hermite_kummer(nu, z):
-    """(H_nu(z), d/dz H_nu(z), M, M') with M = 1F1(-nu/2; 1/2; w) and
-    M' = dM/dw at w = z^2: the pair behind the Weber basis.
-
-    Each value equals, bit for bit, its own call of ``hermite_h``,
-    ``hermite_h_dz``, ``kummer_1f1`` and ``kummer_1f1_dz``.  M and M'
-    are one chain.  For z >= 0 both Hermite values come from one
-    ``_hermite_recessive`` call.  For z < 0 one chain more, of
-    F = 1F1((1-nu)/2; 3/2; w), gives F and, as sum (2n + 1) t_n,
-    d/dz[z F] = 1F1((1-nu)/2; 1/2; w) (DLMF 13.3(ii)); then
-    H = sqrt(pi) 2^nu (g1 M - g2 2z F) as in ``_hermite`` and
-    H' = sqrt(pi) 2^nu (g1 2z M' - 2 g2 d/dz[z F]).
-    """
-    kummer = _kummer_pair(-0.5 * nu, 0.5, z * z)
-    if z >= 0.0:
-        h, h_prev = _hermite_recessive(nu, z)
-        return (h, 2.0 * nu * h_prev) + kummer
-    g1, g2, scale = _hermite_weights(nu)
-    t1 = dt1 = 0.0
-    if g1 != 0.0:
-        m, dm = kummer
-        t1 = g1 * m
-        dt1 = g1 * 2.0 * z * dm
-    t2 = dt2 = 0.0
-    if g2 != 0.0:
-        f, df = _hyp1f1_chain(0.5 * (1.0 - nu), 1.5, z * z, 1, 2)
-        t2 = g2 * 2.0 * z * f
-        dt2 = 2.0 * g2 * df
-    return (scale * (t1 - t2), scale * (dt1 - dt2)) + kummer
 
 
 def _float_if_scalar(r):

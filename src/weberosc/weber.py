@@ -6,11 +6,13 @@ damped by a shared Gaussian-exponential envelope.  The q = 0 case
 (a = b = 0) degenerates to a constant-coefficient oscillator whose exact
 exponential pair (not a limit of the first) is fitted and evaluated
 through the same Wronskian formulas.  x1/W and x2/W, with W in closed
-form, are the integrands of the forced case.
+form, are the integrands of the forced case.  ``evaluate_basis`` sums
+each member's series at one t; ``basis_table`` serves a whole arm.
 """
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+import functools
 import math
 import numbers
 
@@ -125,32 +127,46 @@ def map_params(config: PhysicalConfig) -> WeberCoefficients:
     return WeberCoefficients(a=a, b=b, c=c, A=config.A, beta=beta)
 
 
+def _u(coeffs: WeberCoefficients, t: float) -> float:
+    return (coeffs.b + 2.0 * coeffs.a * t) / (2.0 * coeffs.a ** 0.75)
+
+
+def _envelope(coeffs: WeberCoefficients, t: float):
+    # (E, E', u) at time t, as in evaluate_basis
+    a, b, A = coeffs.a, coeffs.b, coeffs.A
+    sqa = math.sqrt(a)
+    env = math.exp(-(a * t * t + t * (b + sqa * A)) / (2.0 * sqa))
+    denv = env * (-(2.0 * a * t + b + sqa * A) / (2.0 * sqa))
+    return env, denv, _u(coeffs, t)
+
+
 def evaluate_basis(coeffs: WeberCoefficients, t: float):
     """Fundamental pair (x1, x2) and derivatives at time t (a > 0 branch).
 
     x1 = E(t) H_{beta-1/2}(u(t)),  x2 = E(t) 1F1(1/4 - beta/2; 1/2; u(t)^2)
     with envelope E = exp(-(a t^2 + t (b + sqrt(a) A)) / (2 sqrt(a))) and
-    u = (b + 2 a t) / (2 a^{3/4}).  Derivatives by exact chain rule.
+    u = (b + 2 a t) / (2 a^{3/4}).  Derivatives by exact chain rule; each
+    of the four values is its public ``specfun`` function.
     """
-    a, b, A, beta = coeffs.a, coeffs.b, coeffs.A, coeffs.beta
+    a, b, beta = coeffs.a, coeffs.b, coeffs.beta
     if not a > 0.0:
         raise ConfigError("evaluate_basis requires a > 0 (got a = %g)" % a)
     _finite_t(t)
-    sqa = math.sqrt(a)
-    a34 = a ** 0.75
     nu = beta - 0.5
+    # the Kummer parameter -nu/2 equals 1/4 - beta/2 to the last bit:
+    # halving commutes with rounding
+    k = -0.5 * nu
 
     try:
-        ex = -(a * t * t + t * (b + sqa * A)) / (2.0 * sqa)
-        env = math.exp(ex)
-        denv = env * (-(2.0 * a * t + b + sqa * A) / (2.0 * sqa))
-        u = (b + 2.0 * a * t) / (2.0 * a34)
+        env, denv, u = _envelope(coeffs, t)
         du = a ** 0.25
-        dw = (b + 2.0 * a * t) / sqa
-
-        # the Kummer parameter -nu/2 equals 1/4 - beta/2 to the last bit:
-        # halving commutes with rounding
-        h, dh, f, df = specfun._hermite_kummer(nu, u)
+        w = u * u
+        dw = (b + 2.0 * a * t) / math.sqrt(a)
+        # M first: where two series fail, M's error is the one raised
+        f = specfun.kummer_1f1(k, 0.5, w)
+        h = specfun.hermite_h(nu, u)
+        dh = specfun.hermite_h_dz(nu, u)
+        df = specfun.kummer_1f1_dz(k, 0.5, w)
 
         x1 = env * h
         x1dot = denv * h + env * dh * du
@@ -159,6 +175,99 @@ def evaluate_basis(coeffs: WeberCoefficients, t: float):
     except OverflowError as exc:
         raise _overflow(t) from exc
     return _finite((x1, x2, x1dot, x2dot), t)
+
+
+# table knots lie _KNOT_STEP apart in u; past |u| = 64 every pair overflows
+_KNOT_STEP = 0.25
+_KNOT_REACH = 64.0
+
+
+def _hermite_step(nu, u0, y, dy, s):
+    """(y, y') at u0 + s from (y, y') at u0 on y'' = 2u y' - 2 nu y, by the
+    Taylor series (DLMF 3.7(ii)) y = sum d_n, s y' = sum n d_n, with
+    (n+2)(n+1) d_{n+2} = 2 u0 s (n+1) d_{n+1} + 2 s^2 (n - nu) d_n.  The
+    sums stop at two terms below 1e-17 of each once the recurrence's
+    weights, at most (|2 u0 s| + 2 s^2)/(n+2) + 2 s^2 |nu|/((n+2)(n+1)),
+    sum to 1/2 or less, so no later term exceeds half the larger of the
+    two before it.  A sum that left the double range gives NaN."""
+    if s == 0.0:
+        return y, dy
+    p, q = 2.0 * u0 * s, 2.0 * s * s
+    grow, fall = abs(p) + q, q * abs(nu)
+    d0, d1 = y, dy * s
+    ys, zs = d0 + d1, d1
+    for n in range(1, 200):
+        d0, d1 = d1, (p * n * d1 + q * (n - 1 - nu) * d0) / ((n + 1) * n)
+        ys += d1
+        zs += (n + 1) * d1
+        if (abs(d0) + abs(d1) <= 1e-17 * abs(ys)
+                and n * abs(d0) + (n + 1) * abs(d1) <= 1e-17 * abs(zs)
+                and grow * (n + 1) + fall <= 0.5 * (n + 2) * (n + 1)):
+            return ys, zs / s
+    return math.nan, math.nan
+
+
+def _march(knots, nu, u, d, bound):
+    # from the knot at u by steps d = +-_KNOT_STEP, while finite, to bound
+    y, dy = knots[u]
+    while d * u < d * bound:
+        y, dy = _hermite_step(nu, u, y, dy, d)
+        if not (math.isfinite(y) and math.isfinite(dy)):
+            return
+        u += d
+        knots[u] = y, dy
+
+
+class _BasisTable:
+    """``evaluate_basis`` on [0, t_max] from (y, y') of both members at
+    knots u = k _KNOT_STEP, each marched the way it dominates: M outward
+    from M(0) = 1; H_nu outward from its closed form at 0 for u < 0, back
+    from one ``_hermite_recessive`` value at the top knot for u > 0.  A
+    query is one step from its nearest knot, and raises OverflowRangeError
+    where a march stopped as a value left the double range."""
+
+    def __init__(self, coeffs: WeberCoefficients, t_max: float):
+        self.coeffs, self.t_max, self.du = coeffs, t_max, coeffs.a ** 0.25
+        nu = self.nu = coeffs.beta - 0.5
+        lo = max(_u(coeffs, 0.0), -_KNOT_REACH)
+        hi = min(_u(coeffs, t_max), _KNOT_REACH)
+        self.knots_m = m = {0.0: (1.0, 0.0)}
+        _march(m, nu, 0.0, _KNOT_STEP, hi)
+        _march(m, nu, 0.0, -_KNOT_STEP, lo)
+        self.knots_h = h = {}
+        top = max(m)
+        try:
+            g1, g2, scale = specfun._hermite_weights(nu)
+            h[0.0] = scale * g1, -2.0 * scale * g2
+            _march(h, nu, 0.0, -_KNOT_STEP, lo)
+            if top > 0.0:
+                hv, h_prev = specfun._hermite_recessive(nu, top)
+                h[top] = hv, 2.0 * nu * h_prev
+                _march(h, nu, top, -_KNOT_STEP, max(lo, _KNOT_STEP))
+        except OverflowError:
+            pass
+
+    def __call__(self, t: float):
+        _finite_t(t)
+        if not 0.0 <= t <= self.t_max:
+            raise DomainError("the basis table covers [0, %r], got t = %r"
+                              % (self.t_max, t))
+        try:
+            env, denv, u = _envelope(self.coeffs, t)
+            uk = round(u / _KNOT_STEP) * _KNOT_STEP
+            h, dh = _hermite_step(self.nu, uk, *self.knots_h[uk], u - uk)
+            f, df = _hermite_step(self.nu, uk, *self.knots_m[uk], u - uk)
+        except (OverflowError, KeyError) as exc:  # no knot: a march stopped
+            raise _overflow(t) from exc
+        return _finite((env * h, env * f, denv * h + env * dh * self.du,
+                        denv * f + env * df * self.du), t)
+
+
+def basis_table(coeffs: WeberCoefficients, t_max: float):
+    """t -> (x1, x2, x1', x2') on [0, t_max], by a table when a > 0."""
+    if coeffs.a > 0.0:
+        return _BasisTable(coeffs, t_max)
+    return functools.partial(_fundamental_pair, coeffs)
 
 
 # the only code that turns a computed inf, a NaN or an OverflowError into
@@ -267,7 +376,7 @@ def _member_over_wronskian(coeffs: WeberCoefficients, t: float,
                            member) -> float:
     # member(nu, u(t)) E(t) / W(t), with W in closed form
     ew = envelope_over_wronskian(coeffs, t)
-    u = (coeffs.b + 2.0 * coeffs.a * t) / (2.0 * coeffs.a ** 0.75)
+    u = _u(coeffs, t)
     try:
         v = ew * member(coeffs.beta - 0.5, u)
     except OverflowError as exc:
@@ -314,3 +423,9 @@ def eval_solution(sol: ClosedFormSolution, t: float):
     """Evaluate (x, x') of the fitted solution at time t."""
     return _finite(combine(sol.C1, sol.C2, _fundamental_pair(sol.coeffs, t)),
                    t)
+
+
+def solution_table(sol: ClosedFormSolution, t_max: float):
+    """t -> ``eval_solution(sol, t)`` on [0, t_max] by ``basis_table``."""
+    pair = basis_table(sol.coeffs, t_max)
+    return lambda t: _finite(combine(sol.C1, sol.C2, pair(t)), t)

@@ -106,6 +106,17 @@ def test_find_root_after_no_sign_change():
         forced.find_root_after(lambda t: 1.0 + t, 0.0)
 
 
+def test_root_scan_compares_signs_of_tiny_values():
+    """The scan brackets on the signs of fn, not on their product, which
+    underflows to -0.0 once |fn| is below about 1e-162: x2/W of the
+    Wronskian sweep's arm below is about 1e-226 near its root."""
+    root = forced.find_root_after(lambda t: 1e-200 * (t - 10.503), 10.0)
+    assert abs(root - 10.503) <= 1e-10
+    coeffs = weber.map_params(weber.PhysicalConfig(
+        q=-0.02720436787661126, k2=31.37235269169569, A=1.249952850439573))
+    assert 10.54 < forced.find_tbar(coeffs, 10.0) <= 10.55
+
+
 def test_root_at_a_sampled_point_is_returned():
     """A midpoint or a scan point where fn is exactly 0 is the root."""
     assert forced._bracketed_root(lambda t: t - 1.5, 1.0, -0.5, 2.0, 0.5) \

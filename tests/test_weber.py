@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -447,33 +448,72 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_basis_point_sums_one_chain_per_pair(monkeypatch):
-    """x2 and x2' are one 1F1 chain; where u < 0 (presets I and II) x1
-    and x1' add one chain more, and where u >= 0 (presets III and IV)
-    they come from the recessive Hermite branch, so one chain remains."""
+def test_run_transient_sums_only_the_fit_point_chains(monkeypatch):
+    """run_transient on presets I-IV sums the 1F1 chains of solve_ivp's
+    t = 0 basis point and none per row: the rows come from the basis
+    table, whose knots start from closed forms and one recessive Hermite
+    value."""
     chains = _counting(monkeypatch, "_hyp1f1_chain")
-    series = _counting(monkeypatch, "_hyp1f1")
-    for preset_id, count in (("I", 2), ("II", 2), ("III", 1), ("IV", 1)):
-        coeffs, t_end = _preset_coeffs(preset_id, 0.5)
-        for t in (0.0, 0.5 * t_end):
-            chains.clear()
-            weber.evaluate_basis(coeffs, t)
-            assert len(chains) == count
-    chains.clear()
-    weber.evaluate_basis(_ROUNDING_APART, 3.0)
-    assert len(chains) == 2
-    assert series == []
+    for preset_id in ("I", "II", "III", "IV"):
+        cfg = dynamics.apply_preset(weber.PhysicalConfig(), preset_id, A=0.5)
+        chains.clear()
+        weber.evaluate_basis(weber.map_params(cfg), 0.0)
+        at_zero = list(chains)
+        chains.clear()
+        result = dynamics.run_transient(cfg)
+        assert len(result.samples) > 80
+        assert chains == at_zero
 
 
-def test_preset_iii_point_reruns_at_most_one_chain(monkeypatch):
-    """On preset III the Kummer sums cancel by up to 1e14; a basis point
-    reruns its one chain at most once, for M and M' together."""
-    reruns = _counting(monkeypatch, "_hyp1f1_chain_exact")
-    coeffs, t_end = _preset_coeffs("III", 0.5)
-    total = 0
-    for t in np.linspace(0.0, t_end, 21).tolist():
-        reruns.clear()
-        weber.evaluate_basis(coeffs, t)
-        assert len(reruns) <= 1
-        total += len(reruns)
-    assert total > 10
+@pytest.mark.parametrize("preset_id", ["I", "II", "III", "IV"])
+def test_table_members_against_mpmath(preset_id):
+    """At 8 times of each horizon (A = 0.2, 1, 2), the table's members
+    and u-derivatives are within 1e-13 of mpmath at 40 digits, measured
+    against the size of each pair, sqrt(y^2 + y'^2 / (2|nu| + 1)), since
+    both members have zeros."""
+    for A in (0.2, 1.0, 2.0):
+        coeffs, t_end = _preset_coeffs(preset_id, A)
+        pair = weber.basis_table(coeffs, t_end)
+        nu = pair.nu
+        k = math.sqrt(2.0 * abs(nu) + 1.0)
+        for t in np.linspace(0.0, t_end, 8).tolist():
+            u = weber._u(coeffs, t)
+            uk = round(u / weber._KNOT_STEP) * weber._KNOT_STEP
+            got = (weber._hermite_step(nu, uk, *pair.knots_h[uk], u - uk)
+                   + weber._hermite_step(nu, uk, *pair.knots_m[uk], u - uk))
+            with mpmath.workdps(40):
+                w = mpmath.mpf(u) ** 2
+                ref = (mpmath.hermite(nu, u),
+                       2 * nu * mpmath.hermite(nu - 1, u),
+                       mpmath.hyp1f1(-nu / 2, 0.5, w),
+                       -2 * nu * u * mpmath.hyp1f1(1 - nu / 2, 1.5, w))
+                for i in (0, 2):
+                    size = mpmath.sqrt(ref[i] ** 2 + (ref[i + 1] / k) ** 2)
+                    err = max(abs(got[i] - ref[i]),
+                              abs(got[i + 1] - ref[i + 1]) / k) / size
+                    assert float(err) <= 1e-13, (A, t, i, float(err))
+
+
+def test_table_query_past_the_double_range_names_its_time():
+    """On preset III, M = 1F1(-nu/2; 1/2; u^2) leaves the double range
+    past u = 28.5 (t = 42): a table over [0, 60] is built all the same,
+    agrees with evaluate_basis early on, and a query past the range
+    raises OverflowRangeError naming the queried t, as does one at a nu
+    whose 2^nu Hermite prefactor overflows."""
+    coeffs, _ = _preset_coeffs("III", 0.5)
+    pair = weber.basis_table(coeffs, 60.0)
+    for got, want in zip(pair(1.0), weber.evaluate_basis(coeffs, 1.0)):
+        assert got == pytest.approx(want, rel=1e-12)
+    for t in (45.0, 60.0):
+        with pytest.raises(OverflowRangeError) as exc:
+            pair(t)
+        assert exc.value.t == t
+    with pytest.raises(DomainError):
+        pair(60.5)
+    a, b, c = 0.01, -3.0, -1.0
+    beta = (b * b - a * 4.0 * c) / (8.0 * a ** 1.5)
+    huge = weber.WeberCoefficients(a=a, b=b, c=c, A=0.0, beta=beta)
+    pair = weber.basis_table(huge, 200.0)
+    with pytest.raises(OverflowRangeError) as exc:
+        pair(150.0)
+    assert exc.value.t == 150.0
